@@ -15,8 +15,11 @@
 //!   search strategy on the logical candidate axis (1 tick = 1 candidate);
 //! * `--metrics <path>` writes the `dse.screen.*` / `dse.eval.*` counters as
 //!   a sorted text report.
+//!
+//! Unknown, repeated or value-less flags exit with code 2 and a usage line.
 
 use timely_baselines::baseline_registry;
+use timely_bench::cli::FlagSpec;
 use timely_bench::table::Table;
 use timely_core::{Features, TimelyConfig};
 use timely_dse::{
@@ -28,17 +31,17 @@ use timely_obs::{ChromeTrace, TraceRecorder};
 
 const SEED: u64 = 0xD5E4;
 
-/// The value following `flag`, if present (e.g. `--trace out.json`).
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    let at = args.iter().position(|a| a == flag)?;
-    args.get(at + 1).map(String::as_str)
-}
+const FLAGS: FlagSpec = FlagSpec {
+    switches: &["--smoke"],
+    valued: &["--trace", "--metrics"],
+    usage: "usage: dse_study [--smoke] [--trace <path>] [--metrics <path>]",
+};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let trace_path = flag_value(&args, "--trace");
-    let metrics_path = flag_value(&args, "--metrics");
+    let flags = FLAGS.parse_env_or_exit();
+    let smoke = flags.has("--smoke");
+    let trace_path = flags.value("--trace");
+    let metrics_path = flags.value("--metrics");
     let min_evaluated = if smoke { 20 } else { 200 };
 
     // The search setup: the default neighborhood around the paper's design

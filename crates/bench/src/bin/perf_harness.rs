@@ -10,6 +10,8 @@
 //! * `--check` — compare against the baselines through the soft gate:
 //!   report every delta, exit non-zero only on a >2x slowdown.
 //!
+//! Unknown or repeated flags exit with code 2 and a usage line.
+//!
 //! Throughput numbers are wall-clock and machine-dependent, so baselines are
 //! compared by *ratio*, never byte-diffed, and the gate is deliberately
 //! loose. The workloads themselves are fully deterministic: both arms visit
@@ -19,6 +21,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
+use timely_bench::cli::FlagSpec;
 use timely_bench::perf::{gate_line, ArmStats, DseBench, GateVerdict, SimBench, SimLargeArm};
 use timely_core::TimelyConfig;
 use timely_dse::{Constraints, Evaluator, Explorer, SearchSpace, Strategy};
@@ -35,11 +38,17 @@ fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
+const FLAGS: FlagSpec = FlagSpec {
+    switches: &["--smoke", "--bless", "--check"],
+    valued: &[],
+    usage: "usage: perf_harness [--smoke] [--bless] [--check]",
+};
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let bless = args.iter().any(|a| a == "--bless");
-    let check = args.iter().any(|a| a == "--check");
+    let flags = FLAGS.parse_env_or_exit();
+    let smoke = flags.has("--smoke");
+    let bless = flags.has("--bless");
+    let check = flags.has("--check");
     let mode = if smoke { "smoke" } else { "full" };
 
     // Phase breakdown in the wall-clock profiling domain (the harness's

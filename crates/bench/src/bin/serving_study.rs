@@ -16,9 +16,12 @@
 //! * `--scenarios` prints the failure/straggler/load-shedding scenario
 //!   tables (and nothing else): fault injection, admission-control
 //!   shedding, and the exact-vs-streaming statistics cross-check.
+//!
+//! Unknown, repeated or value-less flags exit with code 2 and a usage line.
 
 use timely_baselines::IsaacModel;
 use timely_bench::artifacts::{ServingStudyArtifact, ServingSweepRecord};
+use timely_bench::cli::FlagSpec;
 use timely_bench::table::{format_percent, Table};
 use timely_core::{Backend, TimelyAccelerator, TimelyConfig};
 use timely_nn::zoo;
@@ -30,19 +33,20 @@ use timely_sim::{
 
 const SEED: u64 = 0x5E21;
 
-/// The value following `flag`, if present (e.g. `--trace out.json`).
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    let at = args.iter().position(|a| a == flag)?;
-    args.get(at + 1).map(String::as_str)
-}
+const FLAGS: FlagSpec = FlagSpec {
+    switches: &["--smoke", "--json", "--scenarios"],
+    valued: &["--trace", "--metrics"],
+    usage:
+        "usage: serving_study [--smoke] [--json] [--scenarios] [--trace <path>] [--metrics <path>]",
+};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let json = args.iter().any(|a| a == "--json");
-    let scenarios = args.iter().any(|a| a == "--scenarios");
-    let trace_path = flag_value(&args, "--trace");
-    let metrics_path = flag_value(&args, "--metrics");
+    let flags = FLAGS.parse_env_or_exit();
+    let smoke = flags.has("--smoke");
+    let json = flags.has("--json");
+    let scenarios = flags.has("--scenarios");
+    let trace_path = flags.value("--trace");
+    let metrics_path = flags.value("--metrics");
     let requests_per_point = if smoke { 200.0 } else { 2_000.0 };
 
     let models = zoo::serving_benchmarks();

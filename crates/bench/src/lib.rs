@@ -7,6 +7,7 @@
 //! `BENCH_*.json` baselines.
 
 pub mod artifacts;
+pub mod cli;
 pub mod perf;
 pub mod table;
 

@@ -20,7 +20,7 @@
 use crate::error::SimError;
 use crate::event::EventQueue;
 use crate::faults::{FaultKind, Scenario, StatsMode};
-use crate::scheduler::{FleetLayout, Policy, Router, Sharding};
+use crate::scheduler::{FleetLayout, JsqIndex, Policy, Router, Sharding};
 use crate::stats::{ChipStats, LatencyStats, ModelStats, SimReport};
 use crate::traffic::{ArrivalProcess, ModelMix, OpenLoopSource, TrafficSpec};
 use rand::distributions::{Distribution, Exp};
@@ -28,7 +28,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use timely_core::{Backend, EvalError, TimelyAccelerator, TimelyConfig};
+use timely_core::{ArchError, Backend, EvalError, TimelyAccelerator, TimelyConfig};
 use timely_nn::Model;
 use timely_obs::{Histogram, NoopRecorder, Recorder};
 
@@ -213,7 +213,8 @@ impl ServingSimulator {
     /// # Errors
     ///
     /// Propagates profiling errors for any model that cannot be scheduled on
-    /// a single chip.
+    /// a single chip, and rejects an empty fleet like
+    /// [`ServingSimulator::for_backend`].
     pub fn new(
         models: &[Model],
         chip_config: &TimelyConfig,
@@ -230,7 +231,9 @@ impl ServingSimulator {
     /// # Errors
     ///
     /// Propagates evaluation errors for any model the backend does not
-    /// support.
+    /// support. Returns [`ArchError::InvalidConfig`] (as [`EvalError::Arch`])
+    /// for zero chips, an empty model list, or a horizon that is not a
+    /// positive finite number of seconds.
     pub fn for_backend(
         models: &[Model],
         backend: &dyn Backend,
@@ -240,10 +243,7 @@ impl ServingSimulator {
             .iter()
             .map(|m| ModelProfile::for_backend(m, backend))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self::from_chip_profiles(
-            vec![profiles; config.chips],
-            config,
-        ))
+        Self::from_chip_profiles(vec![profiles; config.chips], config)
     }
 
     /// Builds a heterogeneous fleet: chip `c` is one instance of
@@ -253,17 +253,13 @@ impl ServingSimulator {
     /// # Errors
     ///
     /// Propagates evaluation errors: every chip's backend must support every
-    /// model in the fleet's zoo.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `backends` is empty.
+    /// model in the fleet's zoo. Rejects an empty backend list like
+    /// [`ServingSimulator::for_backend`] rejects zero chips.
     pub fn heterogeneous(
         models: &[Model],
         backends: &[&dyn Backend],
         config: SimConfig,
     ) -> Result<Self, EvalError> {
-        assert!(!backends.is_empty(), "fleet needs at least one chip");
         let chip_profiles = backends
             .iter()
             .map(|backend| {
@@ -273,31 +269,39 @@ impl ServingSimulator {
                     .collect::<Result<Vec<_>, _>>()
             })
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self::from_chip_profiles(chip_profiles, config))
+        Self::from_chip_profiles(chip_profiles, config)
     }
 
-    fn from_chip_profiles(chip_profiles: Vec<Vec<ModelProfile>>, mut config: SimConfig) -> Self {
-        assert!(
-            !chip_profiles.is_empty() && !chip_profiles[0].is_empty(),
-            "simulator needs at least one chip and one model"
-        );
-        assert!(
-            config.duration_s > 0.0 && config.duration_s.is_finite(),
-            "duration must be > 0"
-        );
+    fn from_chip_profiles(
+        chip_profiles: Vec<Vec<ModelProfile>>,
+        mut config: SimConfig,
+    ) -> Result<Self, EvalError> {
+        let invalid = |reason: &str| {
+            Err(EvalError::Arch(ArchError::InvalidConfig {
+                reason: reason.to_string(),
+            }))
+        };
+        let Some(models) = chip_profiles.first().map(Vec::len) else {
+            return invalid("a serving fleet needs at least one chip");
+        };
+        if models == 0 {
+            return invalid("a serving fleet needs at least one model");
+        }
+        if !(config.duration_s > 0.0 && config.duration_s.is_finite()) {
+            return invalid("the simulated duration must be a positive finite number of seconds");
+        }
         // Policy parameters are validated at run time (`Policy::check` in
         // `run_scenario_recorded`), where the error has a `Result` channel.
         // The profile matrix is the single source of truth for the fleet
         // size; keep the stored config consistent with it (Run sizes its
         // per-chip state from config.chips).
         config.chips = chip_profiles.len();
-        let layout =
-            FleetLayout::build(chip_profiles[0].len(), chip_profiles.len(), config.sharding);
-        Self {
+        let layout = FleetLayout::build(models, chip_profiles.len(), config.sharding);
+        Ok(Self {
             chip_profiles,
             layout,
             config,
-        }
+        })
     }
 
     /// The per-model serving profiles of the fleet's first chip, in model
@@ -484,6 +488,12 @@ enum LatencyAccum {
 }
 
 /// The mutable state of one simulation run.
+///
+/// No per-event work scans the fleet. The fleet's queue depth is a running
+/// count (`fleet_queued`, O(1) per event), and a join-the-shortest-queue
+/// pick is O(log chips): [`JsqIndex`] keeps the shortest-queue order under
+/// each enqueue and issue, and expires busy pipeline slots lazily before
+/// each routing decision.
 struct Run<'a, R: Recorder> {
     sim: &'a ServingSimulator,
     traffic: &'a TrafficSpec,
@@ -495,7 +505,13 @@ struct Run<'a, R: Recorder> {
     rng: StdRng,
     events: EventQueue<Event>,
     chips: Vec<ChipState>,
+    /// Requests queued fleet-wide (the sum of every chip's
+    /// [`ChipState::queued`]), kept by every push and issue.
+    fleet_queued: usize,
     router: Router,
+    /// Join-the-shortest-queue order over a replicated multi-chip fleet;
+    /// `None` when routing is round-robin or each model has one host.
+    jsq: Option<JsqIndex>,
     open_source: Option<OpenLoopSource>,
     horizon_s: f64,
     now_s: f64,
@@ -530,6 +546,11 @@ impl<'a, R: Recorder> Run<'a, R> {
         } else {
             Vec::new()
         };
+        let chips = sim.config.chips;
+        let jsq = (sim.config.policy == Policy::ShortestQueue
+            && sim.config.sharding == Sharding::Replicate
+            && chips > 1)
+            .then(|| JsqIndex::new(chips));
         let latencies = match scenario.stats {
             StatsMode::Exact => LatencyAccum::Exact(vec![Vec::new(); models]),
             StatsMode::Streaming => LatencyAccum::Streaming(vec![StreamingLatency::new(); models]),
@@ -542,8 +563,10 @@ impl<'a, R: Recorder> Run<'a, R> {
             latency_keys,
             rng: StdRng::seed_from_u64(sim.config.seed),
             events: EventQueue::with_kind(scenario.queue),
-            chips: vec![ChipState::default(); sim.config.chips],
+            chips: vec![ChipState::default(); chips],
+            fleet_queued: 0,
             router: Router::new(models),
+            jsq,
             open_source: OpenLoopSource::new(traffic.process),
             horizon_s: sim.config.duration_s,
             now_s: 0.0,
@@ -677,8 +700,7 @@ impl<'a, R: Recorder> Run<'a, R> {
 
     /// Integrates the queue-depth curve up to `t` and moves the clock.
     fn advance_clock(&mut self, t: f64) {
-        let depth: usize = self.chips.iter().map(ChipState::queued).sum();
-        self.queue_area += depth as f64 * (t - self.last_event_s);
+        self.queue_area += self.fleet_queued as f64 * (t - self.last_event_s);
         self.last_event_s = t;
         self.now_s = t;
     }
@@ -704,17 +726,10 @@ impl<'a, R: Recorder> Run<'a, R> {
             }
         }
 
-        // Join-the-shortest-queue counts outstanding work, not just waiting
-        // requests: a chip whose pipeline slot is occupied ranks behind an
-        // idle one even when both have empty queues.
-        let chips = &self.chips;
-        let now = self.now_s;
-        let chip = self.router.route(
-            request.model,
-            &self.sim.layout,
-            self.sim.config.policy,
-            |c| chips[c].queued() + usize::from(chips[c].next_free_s > now),
-        );
+        let chip = match self.jsq.as_mut() {
+            Some(jsq) => jsq.shortest(self.now_s),
+            None => self.router.route(request.model, &self.sim.layout),
+        };
         // SLO-aware load shedding: once the chosen chip's queue hits the
         // admission cap the request is dropped at the door. Shedding happens
         // after routing and after the successor arrival is scheduled, so it
@@ -729,6 +744,10 @@ impl<'a, R: Recorder> Run<'a, R> {
         match self.sim.config.policy {
             Policy::Fifo | Policy::ShortestQueue => {
                 self.chips[chip].run_queue.push_back(request);
+                if let Some(jsq) = self.jsq.as_mut() {
+                    jsq.enqueue(chip, self.now_s);
+                }
+                self.fleet_queued += 1;
                 self.note_queue_depth();
                 self.try_issue(chip);
             }
@@ -737,6 +756,7 @@ impl<'a, R: Recorder> Run<'a, R> {
                 max_batch,
             } => {
                 self.chips[chip].batch.push(request);
+                self.fleet_queued += 1;
                 self.note_queue_depth();
                 if self.chips[chip].batch.len() >= max_batch {
                     self.flush_batch(chip);
@@ -757,7 +777,8 @@ impl<'a, R: Recorder> Run<'a, R> {
         self.flush_batch(chip);
     }
 
-    /// Moves a chip's pending batch into its run queue and starts issuing.
+    /// Moves a chip's pending batch into its run queue and starts issuing
+    /// (the fleet's queued total is unchanged).
     fn flush_batch(&mut self, chip: usize) {
         let state = &mut self.chips[chip];
         state.batch_epoch += 1;
@@ -798,6 +819,10 @@ impl<'a, R: Recorder> Run<'a, R> {
             let interval_s = profile.initiation_interval_s * slowdown;
             let latency_s = profile.latency_s * slowdown;
             state.next_free_s = self.now_s + interval_s;
+            self.fleet_queued -= 1;
+            if let Some(jsq) = self.jsq.as_mut() {
+                jsq.issue(chip, self.now_s, state.next_free_s);
+            }
             state.busy_s += interval_s;
             state.issued += 1;
             state.energy_mj += profile.energy_mj;
@@ -854,7 +879,7 @@ impl<'a, R: Recorder> Run<'a, R> {
     }
 
     fn note_queue_depth(&mut self) {
-        let depth: usize = self.chips.iter().map(ChipState::queued).sum();
+        let depth = self.fleet_queued;
         self.max_queue_depth = self.max_queue_depth.max(depth as u64);
         self.recorder
             .gauge_max("sim.queue.depth_peak", depth as f64);
@@ -994,12 +1019,11 @@ fn event_key(event: &Event) -> &'static str {
 /// # Errors
 ///
 /// Propagates profiling errors (invalid configuration, a model too large for
-/// one chip).
+/// one chip) and rejects an empty model list.
 ///
 /// # Panics
 ///
-/// Panics if `models` is empty, or if `load` or `requests` is not a positive
-/// finite number.
+/// Panics if `load` or `requests` is not a positive finite number.
 pub fn serving_check(
     models: &[Model],
     chip_config: &TimelyConfig,
@@ -1026,12 +1050,11 @@ pub fn serving_check(
 /// # Errors
 ///
 /// Propagates evaluation errors (invalid configuration, a model the backend
-/// does not support).
+/// does not support) and rejects an empty model list or zero chips.
 ///
 /// # Panics
 ///
-/// Panics if `models` is empty, `chips` is zero, or `load`/`requests` is not
-/// a positive finite number.
+/// Panics if `load` or `requests` is not a positive finite number.
 pub fn serving_check_backend(
     models: &[Model],
     backend: &dyn Backend,
@@ -1045,7 +1068,6 @@ pub fn serving_check_backend(
         requests >= 1.0 && requests.is_finite(),
         "requests must be >= 1"
     );
-    assert!(chips > 0, "fleet needs at least one chip");
     let sim = ServingSimulator::for_backend(
         models,
         backend,
@@ -1423,6 +1445,55 @@ mod tests {
         assert!(a.starts_with('['));
         let parsed = timely_obs::ChromeTrace::from_json(&a).expect("export parses back");
         assert!(!parsed.events.is_empty());
+    }
+
+    #[test]
+    fn empty_fleets_are_rejected_structurally() {
+        let cfg = TimelyConfig::paper_default();
+        let chip = TimelyAccelerator::new(TimelyConfig {
+            chips: 1,
+            ..TimelyConfig::paper_default()
+        });
+        let config = |chips| SimConfig {
+            chips,
+            ..SimConfig::default()
+        };
+        let invalid = |built: Result<ServingSimulator, EvalError>| {
+            matches!(built, Err(EvalError::Arch(ArchError::InvalidConfig { .. })))
+        };
+        let model = [zoo::cnn_1()];
+        assert!(invalid(ServingSimulator::new(&model, &cfg, config(0))));
+        assert!(invalid(ServingSimulator::new(&[], &cfg, config(2))));
+        assert!(invalid(ServingSimulator::for_backend(
+            &model,
+            &chip,
+            config(0)
+        )));
+        assert!(invalid(ServingSimulator::heterogeneous(
+            &model,
+            &[],
+            config(1)
+        )));
+        assert!(invalid(ServingSimulator::heterogeneous(
+            &[],
+            &[&chip],
+            config(1)
+        )));
+        for duration_s in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let config = SimConfig {
+                duration_s,
+                ..config(1)
+            };
+            assert!(invalid(ServingSimulator::new(&model, &cfg, config)));
+        }
+        assert!(matches!(
+            serving_check_backend(&model, &chip, 0, 0.5, 10.0, 1),
+            Err(EvalError::Arch(ArchError::InvalidConfig { .. }))
+        ));
+        assert!(matches!(
+            serving_check(&[], &cfg, 0.5, 10.0, 1),
+            Err(EvalError::Arch(ArchError::InvalidConfig { .. }))
+        ));
     }
 
     #[test]

@@ -287,3 +287,88 @@ fn malformed_scenarios_are_rejected_structurally() {
     };
     assert!(sim.run_scenario(&bad_mix, &Scenario::default()).is_err());
 }
+
+/// A pinned 64-chip join-the-shortest-queue run.
+struct LargeFleetPin {
+    load: f64,
+    offered: u64,
+    completed: u64,
+    shed: u64,
+    backlog: u64,
+    max_queue_depth: u64,
+    mean_queue_depth_bits: u64,
+    issued: [u64; 64],
+}
+
+/// Reports of a 64-chip JSQ fleet with an outage, a straggler and an
+/// admission cap, recorded from the linear-scan router (the goldens only
+/// cover 1-4 chips). At 0.95 load queues form and the cap sheds; at 0.6
+/// load queues stay near empty, so the busy bit of the JSQ key (an
+/// occupied pipeline slot) decides most routing choices.
+const LARGE_FLEET_PINS: [LargeFleetPin; 2] = [
+    LargeFleetPin {
+        load: 0.95,
+        offered: 12215,
+        completed: 10746,
+        shed: 47,
+        backlog: 1422,
+        max_queue_depth: 68,
+        mean_queue_depth_bits: 0x4034_d590_4eed_cf0b,
+        issued: [
+            200, 200, 200, 140, 200, 200, 200, 200, 199, 199, 199, 199, 199, 199, 198, 198, 198,
+            198, 198, 198, 198, 198, 197, 197, 197, 197, 196, 196, 196, 196, 195, 195, 195, 194,
+            194, 194, 194, 194, 193, 193, 119, 193, 192, 192, 191, 191, 191, 189, 189, 188, 187,
+            185, 183, 182, 181, 179, 179, 177, 177, 176, 174, 172, 170, 169,
+        ],
+    },
+    LargeFleetPin {
+        load: 0.6,
+        offered: 7736,
+        completed: 6837,
+        shed: 0,
+        backlog: 899,
+        max_queue_depth: 2,
+        mean_queue_depth_bits: 0x3fd3_047f_3ff4_cad7,
+        issued: [
+            195, 195, 195, 136, 193, 193, 193, 193, 193, 193, 193, 191, 191, 190, 189, 188, 187,
+            187, 187, 187, 184, 183, 181, 178, 177, 175, 172, 168, 166, 162, 161, 158, 154, 150,
+            144, 138, 133, 121, 118, 114, 73, 94, 88, 81, 71, 69, 64, 63, 57, 49, 40, 29, 22, 12,
+            7, 4, 3, 2, 2, 0, 0, 0, 0, 0,
+        ],
+    },
+];
+
+#[test]
+fn large_shortest_queue_fleets_match_pinned_reports() {
+    let duration_s = 4e-5;
+    let mut sim = fleet(64, Policy::ShortestQueue);
+    sim.set_duration(duration_s);
+    for pin in &LARGE_FLEET_PINS {
+        let spec = traffic(&sim, pin.load);
+        for stats in [StatsMode::Exact, StatsMode::Streaming] {
+            let scenario = Scenario {
+                faults: vec![
+                    Fault::outage(3, 0.2 * duration_s, 0.3 * duration_s),
+                    Fault::straggler(40, 0.1 * duration_s, 0.5 * duration_s, 4.0),
+                ],
+                admission_cap: Some(2),
+                stats,
+                ..Scenario::default()
+            };
+            let report = sim.run_scenario(&spec, &scenario).expect("valid scenario");
+            let at = format!("load {} {stats:?}", pin.load);
+            assert_eq!(report.offered, pin.offered, "{at}");
+            assert_eq!(report.completed, pin.completed, "{at}");
+            assert_eq!(report.shed, pin.shed, "{at}");
+            assert_eq!(report.backlog, pin.backlog, "{at}");
+            assert_eq!(report.max_queue_depth, pin.max_queue_depth, "{at}");
+            assert_eq!(
+                report.mean_queue_depth.to_bits(),
+                pin.mean_queue_depth_bits,
+                "{at}"
+            );
+            let issued: Vec<u64> = report.chips.iter().map(|c| c.issued).collect();
+            assert_eq!(issued, pin.issued, "{at}");
+        }
+    }
+}
