@@ -12,6 +12,11 @@
 //!    point *infeasible*.
 //! 3. **Serving check** (optional): a seeded `timely-sim` run measures the
 //!    p99 latency of the workload mix at a given fraction of fleet capacity.
+//!    The run depends only on the point's *serving physics* — each model's
+//!    per-chip initiation interval and single-inference latency, plus the
+//!    chip count — so it is memoized on exactly those bits: points that
+//!    differ only in, say, sub-chip orientation or feature set share one
+//!    simulation and get a bit-identical p99.
 //!
 //! Every outcome is memoized in a cache keyed on the *backend-qualified*
 //! configuration hash ([`Backend::cache_key`]: the backend id tag folded
@@ -195,8 +200,9 @@ pub struct ServingCheck {
     pub load: f64,
     /// Approximate number of requests to simulate per point.
     pub requests: f64,
-    /// Seed of each point's simulation run (the same seed is reused for
-    /// every point, so points differ only by their configuration).
+    /// Seed of each point's simulation run. The same seed is reused for
+    /// every point, so points differ only by their serving physics, and
+    /// points with identical serving physics share one run.
     pub seed: u64,
 }
 
@@ -235,6 +241,16 @@ impl EvalStats {
     pub fn lookups(&self) -> usize {
         self.cache_hits + self.cache_misses()
     }
+}
+
+/// How the serving checks of an [`Evaluator`] were answered. Kept apart
+/// from [`EvalStats`], whose serialized form is part of every report.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServingCounts {
+    /// Serving checks that ran a simulation.
+    pub runs: usize,
+    /// Serving checks answered from the serving-physics memo.
+    pub memo_hits: usize,
 }
 
 /// The verdict of the cheap bound computation behind screening
@@ -300,6 +316,13 @@ pub struct Evaluator {
     /// model: the config-dependent-but-shareable half of the schedule, reused
     /// across every candidate (and hill-climb neighbor) with the same pair.
     placements: BTreeMap<(usize, usize), Vec<LayerPlacement>>,
+    /// Memoized serving-check results, keyed on the serving physics the
+    /// simulation reads (see [`Evaluator::fill_serving_key`]): the p99 in
+    /// ms, or the exact infeasibility reason.
+    serving_memo: BTreeMap<Vec<u64>, Result<f64, String>>,
+    /// Scratch buffer for the serving-memo key, reused across lookups.
+    serving_key: Vec<u64>,
+    serving_counts: ServingCounts,
     stats: EvalStats,
 }
 
@@ -323,17 +346,24 @@ impl Evaluator {
             cache: BTreeMap::new(),
             reference_cache: BTreeMap::new(),
             placements: BTreeMap::new(),
+            serving_memo: BTreeMap::new(),
+            serving_key: Vec::new(),
+            serving_counts: ServingCounts::default(),
             stats: EvalStats::default(),
         }
     }
 
-    /// Adds early-rejection constraints.
+    /// Adds early-rejection constraints. Outcomes memoized under the old
+    /// constraints are dropped.
     pub fn with_constraints(mut self, constraints: Constraints) -> Self {
         self.constraints = constraints;
+        self.clear_memos();
         self
     }
 
     /// Enables the serving check, adding `p99 ms` to the objective vector.
+    /// Outcomes and serving results memoized under the old setting are
+    /// dropped.
     pub fn with_serving(mut self, serving: ServingCheck) -> Self {
         assert!(
             serving.load > 0.0 && serving.load.is_finite(),
@@ -341,7 +371,15 @@ impl Evaluator {
         );
         assert!(serving.requests >= 1.0, "serving check needs >= 1 request");
         self.serving = Some(serving);
+        self.clear_memos();
         self
+    }
+
+    /// Drops every memoized outcome that depends on the constraints or the
+    /// serving check. Placements depend only on the configuration and stay.
+    fn clear_memos(&mut self) {
+        self.cache.clear();
+        self.serving_memo.clear();
     }
 
     /// Whether the serving check (and hence the `p99 ms` objective) is on.
@@ -357,6 +395,12 @@ impl Evaluator {
     /// The evaluation counters accumulated so far.
     pub fn stats(&self) -> EvalStats {
         self.stats
+    }
+
+    /// How the serving checks so far were answered: simulation runs and
+    /// serving-memo hits.
+    pub fn serving_counts(&self) -> ServingCounts {
+        self.serving_counts
     }
 
     /// Evaluates one configuration, answering from the memo-cache when the
@@ -626,35 +670,12 @@ impl Evaluator {
             }
         }
 
-        // Optional serving check via the discrete-event simulator: a fleet
-        // of `config.chips` single-chip instances of this backend.
         let p99_ms = match self.serving {
             None => 0.0,
-            Some(check) => {
-                let mut per_chip = config.clone();
-                per_chip.chips = 1;
-                let report = match serving_check_backend(
-                    &self.workloads,
-                    &TimelyAccelerator::new(per_chip),
-                    config.chips.max(1),
-                    check.load,
-                    check.requests,
-                    check.seed,
-                ) {
-                    Ok(report) => report,
-                    Err(err) => {
-                        return PointOutcome::Infeasible {
-                            reason: format!("serving check: {err}"),
-                        }
-                    }
-                };
-                if report.completed == 0 {
-                    return PointOutcome::Infeasible {
-                        reason: "serving check completed no requests".to_string(),
-                    };
-                }
-                report.latency.p99_ms
-            }
+            Some(check) => match self.serving_p99(config, check) {
+                Ok(p99_ms) => p99_ms,
+                Err(reason) => return PointOutcome::Infeasible { reason },
+            },
         };
 
         PointOutcome::Feasible(PointReport {
@@ -668,6 +689,92 @@ impl Evaluator {
                 p99_ms,
             },
         })
+    }
+
+    /// The serving check of one point: the p99 in ms, or the infeasibility
+    /// reason. Answered from the serving memo when another point with the
+    /// same serving physics already ran; otherwise simulated and memoized.
+    /// A point whose key cannot be built runs uncached.
+    fn serving_p99(&mut self, config: &TimelyConfig, check: ServingCheck) -> Result<f64, String> {
+        if !self.fill_serving_key(config) {
+            return self.run_serving_check(config, check);
+        }
+        if let Some(hit) = self.serving_memo.get(self.serving_key.as_slice()) {
+            self.serving_counts.memo_hits += 1;
+            return hit.clone();
+        }
+        let result = self.run_serving_check(config, check);
+        self.serving_memo
+            .insert(self.serving_key.clone(), result.clone());
+        result
+    }
+
+    /// Writes the serving-memo key of `config` into the scratch buffer: the
+    /// fleet's chip count, then per model the bits of the per-chip
+    /// (`chips = 1`) initiation interval and single-inference latency.
+    ///
+    /// These are bit-identical to the `ServicePhysics` that
+    /// [`Backend::evaluate`] reports, and the simulation reads nothing else
+    /// that varies between points: the rate is `load` × the slowest model's
+    /// fleet capacity, the horizon follows from the rate and the largest
+    /// latency, service times are the II and latency, and the mix and seed
+    /// are fixed. Returns `false` when a per-chip schedule fails (a model
+    /// fits the fleet but not one chip); the caller then runs the check
+    /// uncached so its error reason is unchanged.
+    fn fill_serving_key(&mut self, config: &TimelyConfig) -> bool {
+        let placement_key = (config.crossbar_size, config.cells_per_weight());
+        let Some(placements) = self.placements.get(&placement_key) else {
+            return false;
+        };
+        let mut per_chip = config.clone();
+        per_chip.chips = 1;
+        self.serving_key.clear();
+        self.serving_key.push(config.chips.max(1) as u64);
+        for placement in placements {
+            let Ok(summary) = ScheduleSummary::for_placement(placement, &per_chip) else {
+                return false;
+            };
+            self.serving_key.push(
+                summary
+                    .initiation_interval(&per_chip)
+                    .as_seconds()
+                    .to_bits(),
+            );
+            self.serving_key.push(
+                summary
+                    .single_inference_latency(&per_chip)
+                    .as_seconds()
+                    .to_bits(),
+            );
+        }
+        true
+    }
+
+    /// Runs the serving check through the discrete-event simulator: a fleet
+    /// of `config.chips` single-chip instances of this backend. Memo misses
+    /// and unkeyable points both come here: there is no other simulation
+    /// path.
+    fn run_serving_check(
+        &mut self,
+        config: &TimelyConfig,
+        check: ServingCheck,
+    ) -> Result<f64, String> {
+        self.serving_counts.runs += 1;
+        let mut per_chip = config.clone();
+        per_chip.chips = 1;
+        let report = serving_check_backend(
+            &self.workloads,
+            &TimelyAccelerator::new(per_chip),
+            config.chips.max(1),
+            check.load,
+            check.requests,
+            check.seed,
+        )
+        .map_err(|err| format!("serving check: {err}"))?;
+        if report.completed == 0 {
+            return Err("serving check completed no requests".to_string());
+        }
+        Ok(report.latency.p99_ms)
     }
 }
 
@@ -806,5 +913,50 @@ mod tests {
         assert!(report.objectives.p99_ms >= report.objectives.latency_ms * 0.99);
         assert_eq!(report.objectives.vector(true).len(), 5);
         assert_eq!(Objectives::labels(true).len(), 5);
+    }
+
+    #[test]
+    fn with_serving_drops_outcomes_memoized_without_it() {
+        let mut eval = evaluator();
+        let cfg = TimelyConfig::paper_default();
+        eval.evaluate(&cfg);
+        let mut serving = eval.clone().with_serving(ServingCheck::default());
+        assert!(serving.serving_enabled());
+        let report = serving.evaluate(&cfg).report().cloned().expect("feasible");
+        assert!(report.objectives.p99_ms > 0.0);
+        assert_eq!(serving.serving_counts().runs, 1);
+        // Placements depend only on the configuration and survive.
+        assert!(!serving.placements.is_empty());
+    }
+
+    #[test]
+    fn with_serving_drops_the_serving_memo_of_another_check() {
+        let mut eval = evaluator().with_serving(ServingCheck::default());
+        let cfg = TimelyConfig::paper_default();
+        let before = eval.evaluate(&cfg).report().cloned().expect("feasible");
+        let mut heavier = eval.clone().with_serving(ServingCheck {
+            load: 0.95,
+            ..ServingCheck::default()
+        });
+        let after = heavier.evaluate(&cfg).report().cloned().expect("feasible");
+        assert_eq!(heavier.serving_counts().runs, 2);
+        assert_eq!(heavier.serving_counts().memo_hits, 0);
+        assert_ne!(
+            before.objectives.p99_ms.to_bits(),
+            after.objectives.p99_ms.to_bits()
+        );
+    }
+
+    #[test]
+    fn with_constraints_drops_outcomes_memoized_under_other_constraints() {
+        let mut eval = evaluator();
+        let cfg = TimelyConfig::paper_default();
+        assert!(eval.evaluate(&cfg).report().is_some());
+        let mut capped = eval.clone().with_constraints(Constraints {
+            max_area_mm2: Some(1.0),
+            ..Constraints::default()
+        });
+        assert!(matches!(capped.evaluate(&cfg), PointOutcome::Pruned { .. }));
+        assert!(!capped.placements.is_empty());
     }
 }

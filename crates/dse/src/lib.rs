@@ -60,7 +60,7 @@ pub mod space;
 
 pub use evaluate::{
     BoundCheck, Constraints, EvalStats, Evaluator, Objectives, PointOutcome, PointReport,
-    ReferencePoint, ServingCheck,
+    ReferencePoint, ServingCheck, ServingCounts,
 };
 pub use pareto::{
     dominance_ranks, dominance_ranks_flat, dominates, frontier_indices, frontier_indices_flat,

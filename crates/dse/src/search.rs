@@ -340,6 +340,9 @@ impl Explorer {
         recorder.counter_add("dse.eval.cache_misses", stats.cache_misses() as u64);
         recorder.counter_add("dse.eval.pruned", stats.pruned as u64);
         recorder.counter_add("dse.eval.infeasible", stats.infeasible as u64);
+        let serving = self.evaluator.serving_counts();
+        recorder.counter_add("dse.serving.runs", serving.runs as u64);
+        recorder.counter_add("dse.serving.memo_hits", serving.memo_hits as u64);
     }
 
     /// Builds the final report over everything evaluated so far.
@@ -557,7 +560,7 @@ fn figure_of_merit(vector: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluate::Evaluator;
+    use crate::evaluate::{Evaluator, ServingCheck};
     use timely_nn::zoo;
 
     fn small_space() -> SearchSpace {
@@ -737,6 +740,28 @@ mod tests {
             .label(),
             "hill-climb/4x16"
         );
+    }
+
+    #[test]
+    fn serving_counts_are_promoted_and_tie_out() {
+        let evaluator = Evaluator::new(vec![zoo::cnn_1()]).with_serving(ServingCheck {
+            load: 0.5,
+            requests: 50.0,
+            seed: 3,
+        });
+        let mut ex = Explorer::new(small_space(), evaluator);
+        ex.run(&Strategy::Grid {
+            max_points: usize::MAX,
+        });
+        let mut recorder = timely_obs::TraceRecorder::new();
+        ex.record_stats(&mut recorder);
+        let metrics = recorder.metrics();
+        let runs = metrics.counter("dse.serving.runs");
+        let memo_hits = metrics.counter("dse.serving.memo_hits");
+        // Every feasible point asked for one serving check; the feature-set
+        // twins of the grid share their runs.
+        assert_eq!(runs + memo_hits, ex.eval_stats().evaluations as u64);
+        assert!(runs > 0 && memo_hits > 0);
     }
 
     #[test]

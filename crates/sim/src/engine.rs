@@ -1012,18 +1012,17 @@ fn event_key(event: &Event) -> &'static str {
 ///
 /// The fleet's mix capacity is conservatively taken as the slowest model's
 /// per-chip rate times the chip count, so `load < 1` keeps every model's
-/// share below saturation. Runs are fully deterministic in `seed`, which is
-/// what lets the explorer memo-cache serving objectives by configuration
-/// hash.
+/// share below saturation. Runs are fully deterministic in `seed`, and their
+/// completion count and latency statistics depend on a chip only through
+/// each model's initiation interval and latency, which is what lets the
+/// explorer memoize serving objectives on that physics.
 ///
 /// # Errors
 ///
 /// Propagates profiling errors (invalid configuration, a model too large for
-/// one chip) and rejects an empty model list.
-///
-/// # Panics
-///
-/// Panics if `load` or `requests` is not a positive finite number.
+/// one chip), rejects an empty model list, and returns
+/// [`ArchError::InvalidConfig`] (as [`EvalError::Arch`]) unless `load` is a
+/// positive finite number and `requests` a finite number `>= 1`.
 pub fn serving_check(
     models: &[Model],
     chip_config: &TimelyConfig,
@@ -1050,11 +1049,9 @@ pub fn serving_check(
 /// # Errors
 ///
 /// Propagates evaluation errors (invalid configuration, a model the backend
-/// does not support) and rejects an empty model list or zero chips.
-///
-/// # Panics
-///
-/// Panics if `load` or `requests` is not a positive finite number.
+/// does not support), rejects an empty model list or zero chips, and returns
+/// [`ArchError::InvalidConfig`] (as [`EvalError::Arch`]) unless `load` is a
+/// positive finite number and `requests` a finite number `>= 1`.
 pub fn serving_check_backend(
     models: &[Model],
     backend: &dyn Backend,
@@ -1063,11 +1060,17 @@ pub fn serving_check_backend(
     requests: f64,
     seed: u64,
 ) -> Result<SimReport, EvalError> {
-    assert!(load > 0.0 && load.is_finite(), "load must be > 0");
-    assert!(
-        requests >= 1.0 && requests.is_finite(),
-        "requests must be >= 1"
-    );
+    let invalid = |reason: String| Err(EvalError::Arch(ArchError::InvalidConfig { reason }));
+    if !(load > 0.0 && load.is_finite()) {
+        return invalid(format!(
+            "serving load must be a positive finite fraction of capacity, got {load}"
+        ));
+    }
+    if !(requests >= 1.0 && requests.is_finite()) {
+        return invalid(format!(
+            "a serving check needs a finite request count >= 1, got {requests}"
+        ));
+    }
     let sim = ServingSimulator::for_backend(
         models,
         backend,
@@ -1494,6 +1497,39 @@ mod tests {
             serving_check(&[], &cfg, 0.5, 10.0, 1),
             Err(EvalError::Arch(ArchError::InvalidConfig { .. }))
         ));
+    }
+
+    #[test]
+    fn serving_check_rejects_bad_load_and_requests_without_panicking() {
+        let model = [zoo::cnn_1()];
+        let cfg = TimelyConfig::paper_default();
+        let chip = TimelyAccelerator::new(cfg.clone());
+        let invalid = |result: Result<SimReport, EvalError>| {
+            matches!(
+                result,
+                Err(EvalError::Arch(ArchError::InvalidConfig { .. }))
+            )
+        };
+        for load in [f64::NAN, 0.0, -0.5, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(
+                invalid(serving_check(&model, &cfg, load, 10.0, 1)),
+                "load {load}"
+            );
+            assert!(invalid(serving_check_backend(
+                &model, &chip, 1, load, 10.0, 1
+            )));
+        }
+        for requests in [0.0, 0.5, -3.0, f64::NAN, f64::INFINITY] {
+            assert!(
+                invalid(serving_check(&model, &cfg, 0.5, requests, 1)),
+                "requests {requests}"
+            );
+            assert!(invalid(serving_check_backend(
+                &model, &chip, 1, 0.5, requests, 1
+            )));
+        }
+        // The boundary values themselves are accepted.
+        assert!(serving_check(&model, &cfg, 0.5, 1.0, 1).is_ok());
     }
 
     #[test]
