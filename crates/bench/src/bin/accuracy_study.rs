@@ -2,12 +2,20 @@
 //! noise of TIMELY's circuits (paper: ≤0.1 % with 12 cascaded X-subBufs whose
 //! accumulated error stays inside the DTC design margin).
 
+use timely_bench::cli::FlagSpec;
 use timely_bench::table::{format_percent, Table};
 use timely_core::accuracy::AccuracyStudy;
 use timely_core::TimelyConfig;
 use timely_nn::zoo;
 
+const FLAGS: FlagSpec = FlagSpec {
+    switches: &[],
+    valued: &[],
+    usage: "usage: accuracy_study (takes no arguments)",
+};
+
 fn main() {
+    FLAGS.parse_env_or_exit();
     let config = TimelyConfig::paper_default();
     let mut study = AccuracyStudy::from_config(&config);
     study.samples = 100;

@@ -8,10 +8,18 @@
 //! golden-file test.
 
 use timely_baselines::{registry, EvalError};
+use timely_bench::cli::FlagSpec;
 use timely_bench::table::Table;
 use timely_nn::zoo;
 
+const FLAGS: FlagSpec = FlagSpec {
+    switches: &[],
+    valued: &[],
+    usage: "usage: backend_matrix (takes no arguments)",
+};
+
 fn main() {
+    FLAGS.parse_env_or_exit();
     let models = [
         zoo::cnn_1(),
         zoo::squeezenet(),

@@ -3,10 +3,18 @@
 //! dominates.
 
 use timely_baselines::{Backend, EyerissModel};
+use timely_bench::cli::FlagSpec;
 use timely_bench::table::{format_percent, Table};
 use timely_nn::zoo;
 
+const FLAGS: FlagSpec = FlagSpec {
+    switches: &[],
+    valued: &[],
+    usage: "usage: fig01_memory_wall (takes no arguments)",
+};
+
 fn main() {
+    FLAGS.parse_env_or_exit();
     let eyeriss = EyerissModel::new();
     let (inputs, weights, psums) = eyeriss.movement_fractions();
     let mut table = Table::new(

@@ -3,10 +3,18 @@
 //! digital 8 %) that motivate the three opportunities.
 
 use timely_baselines::{Backend, IsaacModel, PrimeModel};
+use timely_bench::cli::FlagSpec;
 use timely_bench::table::{format_percent, Table};
 use timely_nn::zoo;
 
+const FLAGS: FlagSpec = FlagSpec {
+    switches: &[],
+    valued: &[],
+    usage: "usage: fig04_breakdowns (takes no arguments)",
+};
+
 fn main() {
+    FLAGS.parse_env_or_exit();
     let prime = PrimeModel::default()
         .evaluate(&zoo::vgg_d())
         .expect("PRIME evaluates VGG-D");

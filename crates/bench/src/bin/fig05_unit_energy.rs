@@ -3,10 +3,18 @@
 //! accesses and interfaces.
 
 use timely_analog::ComponentLibrary;
+use timely_bench::cli::FlagSpec;
 use timely_bench::table::Table;
 use timely_core::TimelyConfig;
 
+const FLAGS: FlagSpec = FlagSpec {
+    switches: &[],
+    valued: &[],
+    usage: "usage: fig05_unit_energy (takes no arguments)",
+};
+
 fn main() {
+    FLAGS.parse_env_or_exit();
     let lib = ComponentLibrary::timely_65nm();
     let norm = lib.normalized();
     let mut table = Table::new(

@@ -5,6 +5,7 @@
 //! other registry entries ride along for completeness).
 
 use timely_baselines::{baseline_registry, Backend, BackendId};
+use timely_bench::cli::FlagSpec;
 use timely_bench::table::{geometric_mean, Table};
 use timely_core::{EvalError, TimelyAccelerator, TimelyConfig};
 use timely_nn::{zoo, Model};
@@ -36,7 +37,14 @@ fn paper_note(id: BackendId) -> &'static str {
     }
 }
 
+const FLAGS: FlagSpec = FlagSpec {
+    switches: &[],
+    valued: &[],
+    usage: "usage: fig08a_energy_efficiency (takes no arguments)",
+};
+
 fn main() {
+    FLAGS.parse_env_or_exit();
     let timely8 = TimelyAccelerator::new(TimelyConfig::paper_default());
     let timely16 = TimelyAccelerator::new(TimelyConfig::paper_16bit());
 

@@ -5,6 +5,7 @@
 //! scalable backend extends this figure without touching it.
 
 use timely_baselines::{registry_with_chips, Backend, BackendId};
+use timely_bench::cli::FlagSpec;
 use timely_bench::table::{geometric_mean, Table};
 use timely_core::{EvalError, EvalOutcome, TimelyAccelerator, TimelyConfig};
 use timely_nn::{zoo, Model};
@@ -31,7 +32,14 @@ fn try_eval(backend: &dyn Backend, model: &Model) -> Option<EvalOutcome> {
     }
 }
 
+const FLAGS: FlagSpec = FlagSpec {
+    switches: &[],
+    valued: &[],
+    usage: "usage: fig08b_throughput (takes no arguments)",
+};
+
 fn main() {
+    FLAGS.parse_env_or_exit();
     let chip_counts = [16usize, 32, 64];
 
     for &chips in &chip_counts {

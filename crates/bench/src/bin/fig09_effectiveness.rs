@@ -4,6 +4,7 @@
 //! (d)/(e) the per-data-type breakdown.
 
 use timely_baselines::{baseline_registry, BackendId};
+use timely_bench::cli::FlagSpec;
 use timely_bench::table::{format_percent, Table};
 use timely_core::{DataType, EnergyBreakdown, Features, MemoryLevel, ModelMapping, TimelyConfig};
 use timely_nn::zoo;
@@ -15,7 +16,14 @@ fn energy_with_features(features: Features) -> EnergyBreakdown {
     EnergyBreakdown::for_mapping(&mapping, &config)
 }
 
+const FLAGS: FlagSpec = FlagSpec {
+    switches: &[],
+    valued: &[],
+    usage: "usage: fig09_effectiveness (takes no arguments)",
+};
+
 fn main() {
+    FLAGS.parse_env_or_exit();
     let model = zoo::vgg_d();
     let timely = energy_with_features(Features::all());
     let prime = baseline_registry()

@@ -2,10 +2,18 @@
 //! vs. ISAAC ≈0.4 % and PRIME ≈0) and (b) TIMELY's per-component area
 //! breakdown.
 
+use timely_bench::cli::FlagSpec;
 use timely_bench::table::{format_percent, Table};
 use timely_core::{AreaBreakdown, TimelyConfig};
 
+const FLAGS: FlagSpec = FlagSpec {
+    switches: &[],
+    valued: &[],
+    usage: "usage: fig10_area (takes no arguments)",
+};
+
 fn main() {
+    FLAGS.parse_env_or_exit();
     let cfg = TimelyConfig::paper_default();
     let area = AreaBreakdown::for_chip(&cfg);
 

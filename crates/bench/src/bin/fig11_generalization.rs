@@ -2,10 +2,18 @@
 //! reduces the intra-bank data-movement energy by ≈68 %.
 
 use timely_baselines::PrimeWithAlbO2ir;
+use timely_bench::cli::FlagSpec;
 use timely_bench::table::{format_percent, Table};
 use timely_nn::zoo;
 
+const FLAGS: FlagSpec = FlagSpec {
+    switches: &[],
+    valued: &[],
+    usage: "usage: fig11_generalization (takes no arguments)",
+};
+
 fn main() {
+    FLAGS.parse_env_or_exit();
     let study = PrimeWithAlbO2ir::new();
     let mut table = Table::new(
         "Fig. 11 - intra-bank data-movement energy of PRIME vs PRIME+ALB+O2IR (paper: 68% reduction on VGG-D)",

@@ -2,10 +2,18 @@
 //! and areas) and the derived sub-chip / chip totals.
 
 use timely_analog::ComponentLibrary;
+use timely_bench::cli::FlagSpec;
 use timely_bench::table::Table;
 use timely_core::{AreaBreakdown, SubChipGeometry, TimelyConfig};
 
+const FLAGS: FlagSpec = FlagSpec {
+    switches: &[],
+    valued: &[],
+    usage: "usage: table2_components (takes no arguments)",
+};
+
 fn main() {
+    FLAGS.parse_env_or_exit();
     let cfg = TimelyConfig::paper_default();
     let geo = SubChipGeometry::from_config(&cfg);
     let lib = ComponentLibrary::timely_65nm();

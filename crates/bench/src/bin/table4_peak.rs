@@ -5,6 +5,7 @@
 //! own operating precision.
 
 use timely_baselines::{baseline_registry, Backend, BackendId};
+use timely_bench::cli::FlagSpec;
 use timely_bench::table::Table;
 use timely_core::{TimelyAccelerator, TimelyConfig};
 
@@ -20,7 +21,14 @@ fn paper_gains(id: BackendId) -> Option<(f64, f64)> {
     }
 }
 
+const FLAGS: FlagSpec = FlagSpec {
+    switches: &[],
+    valued: &[],
+    usage: "usage: table4_peak (takes no arguments)",
+};
+
 fn main() {
+    FLAGS.parse_env_or_exit();
     let timely8 = TimelyAccelerator::new(TimelyConfig::paper_default());
     let timely16 = TimelyAccelerator::new(TimelyConfig::paper_16bit());
     let peak8 = Backend::peak(&timely8);

@@ -2,11 +2,19 @@
 //! TIMELY for the first six CONV layers of VGG-D (paper: an 88.9 % saving on
 //! every layer).
 
+use timely_bench::cli::FlagSpec;
 use timely_bench::table::{format_percent, Table};
 use timely_core::{Features, ModelMapping, TimelyConfig};
 use timely_nn::zoo;
 
+const FLAGS: FlagSpec = FlagSpec {
+    switches: &[],
+    valued: &[],
+    usage: "usage: table5_l1_accesses (takes no arguments)",
+};
+
 fn main() {
+    FLAGS.parse_env_or_exit();
     let vgg = zoo::vgg_d();
     let o2ir = ModelMapping::analyze(&vgg, &TimelyConfig::paper_default())
         .expect("VGG-D maps onto TIMELY");

@@ -1,14 +1,13 @@
-//! Shared helpers for the benchmark harness binaries and Criterion benches.
+//! Shared helpers for the figure, table and study binaries.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the TIMELY
-//! paper's evaluation (see `DESIGN.md` for the experiment index). This
-//! library holds the table-formatting helpers they share, plus the
-//! performance-tracking records behind `perf_harness` and the committed
-//! `BENCH_*.json` baselines.
+//! paper's evaluation (see `DESIGN.md` for the experiment index) or runs one
+//! study. This library holds the table-formatting, artifact and strict
+//! command-line helpers they share. Performance is measured by the separate
+//! `perfbench` workspace, not here.
 
 pub mod artifacts;
 pub mod cli;
-pub mod perf;
 pub mod table;
 
 pub use table::Table;

@@ -1,4 +1,4 @@
-//! The study binaries reject malformed command lines before doing any work:
+//! Every binary rejects a malformed command line before doing any work:
 //! exit code 2 and a usage line on standard error, never a silent fallback
 //! to a different run.
 
@@ -17,19 +17,36 @@ fn study_binaries_reject_bad_flags() {
     for exe in [
         env!("CARGO_BIN_EXE_serving_study"),
         env!("CARGO_BIN_EXE_dse_study"),
-        env!("CARGO_BIN_EXE_perf_harness"),
     ] {
         rejects(exe, &["--smok"]);
         rejects(exe, &["--smoke", "--smoke"]);
         rejects(exe, &["stray"]);
-    }
-    for exe in [
-        env!("CARGO_BIN_EXE_serving_study"),
-        env!("CARGO_BIN_EXE_dse_study"),
-    ] {
         rejects(exe, &["--trace"]);
         rejects(exe, &["--trace", "--smoke"]);
         rejects(exe, &["--smoke", "--metrics"]);
         rejects(exe, &["--trace", "a.json", "--trace", "b.json"]);
+    }
+}
+
+#[test]
+fn flagless_binaries_reject_any_argument() {
+    for exe in [
+        env!("CARGO_BIN_EXE_accuracy_study"),
+        env!("CARGO_BIN_EXE_backend_matrix"),
+        env!("CARGO_BIN_EXE_fig01_memory_wall"),
+        env!("CARGO_BIN_EXE_fig04_access_counts"),
+        env!("CARGO_BIN_EXE_fig04_breakdowns"),
+        env!("CARGO_BIN_EXE_fig05_unit_energy"),
+        env!("CARGO_BIN_EXE_fig08a_energy_efficiency"),
+        env!("CARGO_BIN_EXE_fig08b_throughput"),
+        env!("CARGO_BIN_EXE_fig09_effectiveness"),
+        env!("CARGO_BIN_EXE_fig10_area"),
+        env!("CARGO_BIN_EXE_fig11_generalization"),
+        env!("CARGO_BIN_EXE_table2_components"),
+        env!("CARGO_BIN_EXE_table4_peak"),
+        env!("CARGO_BIN_EXE_table5_l1_accesses"),
+    ] {
+        rejects(exe, &["stray"]);
+        rejects(exe, &["--smoke"]);
     }
 }

@@ -483,7 +483,7 @@ mod tests {
         config.allows.push(config::AllowEntry {
             rule: "wall-clock".to_string(),
             path: "crates/x/src/lib.rs".to_string(),
-            reason: "the perf harness measures wall time by design".to_string(),
+            reason: "this module measures wall time by design".to_string(),
         });
         let src = "fn f() { let t = Instant::now(); }\n";
         let report = lint_source("crates/x/src/lib.rs", src, &config);

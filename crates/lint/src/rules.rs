@@ -34,7 +34,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "wall-clock",
-        "no Instant::now/SystemTime outside the perf harness and the obs profiler module (golden outputs must not depend on time)",
+        "no Instant::now/SystemTime outside the obs profiler module (golden outputs must not depend on time)",
     ),
     (
         "process-hash",
@@ -200,7 +200,7 @@ pub fn check_file(path: &str, file: &LexedFile, config: &LintConfig) -> Vec<Find
                         "`{}` in non-test code (outputs must not depend on wall-clock time)",
                         if instant_now { "Instant::now" } else { "SystemTime" }
                     ),
-                    hint: "keep timing inside the perf harness or route it through timely_obs::Profiler (the one allowlisted wall-clock module); if this IS the perf harness, suppress with `// lint:allow(wall-clock)`".to_string(),
+                    hint: "route timing through timely_obs::Profiler (the one allowlisted wall-clock module); end-to-end timing belongs in the perfbench workspace, outside the scan roots".to_string(),
                 });
             }
         }

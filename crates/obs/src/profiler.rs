@@ -1,10 +1,11 @@
 //! Opt-in **wall-clock** profiling — the other time domain.
 //!
-//! This is the single module in the workspace (outside the perf harness's
-//! own timing loops) that reads the wall clock; the committed `lint.toml`
-//! carries the scoped `wall-clock` allow for exactly this file. Everything
-//! here is machine-dependent by construction: use it for phase breakdowns
-//! next to `BENCH_*.json` numbers, never for anything golden-pinned.
+//! This is the single module in the linted workspace that reads the wall
+//! clock; the committed `lint.toml` carries the scoped `wall-clock` allow
+//! for exactly this file. Everything here is machine-dependent by
+//! construction: use it for per-phase breakdowns on demand (end-to-end
+//! performance is measured by the separate `perfbench` workspace), never for
+//! anything golden-pinned.
 //!
 //! The [`Profiler`] sits behind an explicit constructor
 //! ([`Profiler::start`], no `Default`), so a wall-clock reading is always a
