@@ -6,9 +6,8 @@
 use timely_baselines::{registry, Backend, BackendId, EvalError, IsaacModel};
 use timely_core::{TimelyAccelerator, TimelyConfig};
 use timely_nn::zoo;
-use timely_sim::{
-    ArrivalProcess, ModelMix, ModelProfile, ServingSimulator, SimConfig, TrafficSpec,
-};
+use timely_obs::NoopRecorder;
+use timely_sim::{ModelProfile, Scenario, ServingSimulator, SimConfig, TrafficSpec};
 
 #[test]
 fn every_backend_reports_positive_energy_area_and_latency_on_cnn_1() {
@@ -151,10 +150,10 @@ fn isaac_low_load_latency_matches_the_analytical_profile() {
         },
     )
     .unwrap();
-    let report = sim.run(&TrafficSpec {
-        process: ArrivalProcess::Poisson { rate },
-        mix: ModelMix::single(0),
-    });
+    let traffic = TrafficSpec::poisson(rate, 0);
+    let report = sim
+        .run_scenario_recorded(&traffic, &Scenario::default(), &mut NoopRecorder)
+        .unwrap();
     assert!(report.completed > 100, "completed {}", report.completed);
     let expected_ms = profile.latency_s * 1e3;
     let drift = (report.latency.p50_ms - expected_ms).abs() / expected_ms;

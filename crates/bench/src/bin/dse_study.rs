@@ -27,7 +27,7 @@ use timely_dse::{
     ServingCheck, Strategy,
 };
 use timely_nn::zoo;
-use timely_obs::{ChromeTrace, TraceRecorder};
+use timely_obs::{ChromeTrace, Recorder, TraceRecorder};
 
 const SEED: u64 = 0xD5E4;
 
@@ -112,8 +112,12 @@ fn main() {
         ]
     };
     let mut recorder = TraceRecorder::new();
+    // One `dse.strategy` span per strategy, on cumulative candidates visited.
     for (_, strategy) in &strategies {
-        explorer.run_recorded(strategy, &mut recorder);
+        let start = explorer.screen_stats().visited as f64;
+        explorer.run(strategy);
+        let end = explorer.screen_stats().visited as f64;
+        recorder.span(0, &strategy.label(), "dse.strategy", start, end);
     }
     // Every baseline backend enters as a fixed cross-architecture reference
     // point on the {energy, latency, area} axes.

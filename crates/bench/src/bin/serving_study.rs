@@ -25,13 +25,19 @@ use timely_bench::cli::FlagSpec;
 use timely_bench::table::{format_percent, Table};
 use timely_core::{Backend, TimelyAccelerator, TimelyConfig};
 use timely_nn::zoo;
-use timely_obs::{ChromeTrace, TraceRecorder};
+use timely_obs::{ChromeTrace, NoopRecorder, TraceRecorder};
 use timely_sim::{
     ArrivalProcess, Fault, ModelMix, Policy, Scenario, ServingSimulator, Sharding, SimConfig,
-    StatsMode, TrafficSpec,
+    SimReport, StatsMode, TrafficSpec,
 };
 
 const SEED: u64 = 0x5E21;
+
+/// A plain run: the default scenario, nothing recorded.
+fn run(sim: &ServingSimulator, traffic: &TrafficSpec) -> SimReport {
+    sim.run_scenario_recorded(traffic, &Scenario::default(), &mut NoopRecorder)
+        .expect("study traffic is well-formed")
+}
 
 const FLAGS: FlagSpec = FlagSpec {
     switches: &["--smoke", "--json", "--scenarios"],
@@ -100,10 +106,7 @@ fn main() {
                         },
                     )
                     .expect("profiled models simulate");
-                    let report = sim.run(&TrafficSpec {
-                        process: ArrivalProcess::Poisson { rate },
-                        mix: ModelMix::single(0),
-                    });
+                    let report = run(&sim, &TrafficSpec::poisson(rate, 0));
                     if json {
                         sweep.push(ServingSweepRecord {
                             model: model.name().to_string(),
@@ -164,13 +167,12 @@ fn main() {
     }
 }
 
-/// Runs one canonical traced serving run (the whole zoo on 2 chips under
-/// shortest-queue at 70 % load) and exports its telemetry: a Chrome
-/// trace-event JSON to `trace_path` and/or a sorted text metrics report to
-/// `metrics_path`. The run is fully seeded, so both exports are
-/// byte-identical across runs; the trace is validated by parsing it back
-/// through the serde stubs before it is written. Progress notes go to
-/// stderr so golden-pinned stdout is untouched.
+/// Runs one canonical traced serving run ([`zoo_pair`] at 70 % load) and
+/// exports its telemetry: a Chrome trace-event JSON to `trace_path` and/or
+/// a sorted text metrics report to `metrics_path`. The run is fully seeded,
+/// so both exports are byte-identical across runs; the trace is validated
+/// by parsing it back through the serde stubs before it is written.
+/// Progress notes go to stderr so golden-pinned stdout is untouched.
 fn traced_export(
     models: &[timely_nn::Model],
     config: &TimelyConfig,
@@ -178,6 +180,40 @@ fn traced_export(
     trace_path: Option<&str>,
     metrics_path: Option<&str>,
 ) {
+    let (sim, traffic, _) = zoo_pair(models, config, 0.7, requests);
+    let mut recorder = TraceRecorder::new();
+    sim.run_scenario_recorded(&traffic, &Scenario::default(), &mut recorder)
+        .expect("study traffic is well-formed");
+    if let Some(path) = trace_path {
+        // Simulated seconds -> trace microseconds.
+        let trace = ChromeTrace::from_recorder(&recorder, 1e6);
+        let json = trace.to_json();
+        let parsed = ChromeTrace::from_json(&json).expect("trace export parses back");
+        assert_eq!(
+            parsed.events.len(),
+            trace.events.len(),
+            "trace round-trip preserves every event"
+        );
+        std::fs::write(path, &json).expect("trace file is writable");
+        eprintln!("wrote trace: {path} ({} events)", trace.events.len());
+    }
+    if let Some(path) = metrics_path {
+        let text = recorder.metrics().render_text();
+        std::fs::write(path, &text).expect("metrics file is writable");
+        eprintln!("wrote metrics: {path} ({} lines)", text.lines().count());
+    }
+}
+
+/// The whole zoo on two replicated chips under join-the-shortest-queue,
+/// driven by a uniform Poisson mix at `load` times the slowest model's
+/// fleet capacity for about `requests` arrivals. Returns the simulator, its
+/// traffic and its horizon in seconds.
+fn zoo_pair(
+    models: &[timely_nn::Model],
+    config: &TimelyConfig,
+    load: f64,
+    requests: f64,
+) -> (ServingSimulator, TrafficSpec, f64) {
     let profiles: Vec<timely_sim::ModelProfile> = models
         .iter()
         .map(|m| {
@@ -185,7 +221,7 @@ fn traced_export(
         })
         .collect();
     let chips = 2;
-    let rate = 0.7
+    let rate = load
         * profiles
             .iter()
             .map(timely_sim::ModelProfile::capacity_rps)
@@ -205,32 +241,11 @@ fn traced_export(
         },
     )
     .expect("serving models fit on one chip");
-    let mut recorder = TraceRecorder::new();
-    sim.run_recorded(
-        &TrafficSpec {
-            process: ArrivalProcess::Poisson { rate },
-            mix: ModelMix::uniform(models.len()),
-        },
-        &mut recorder,
-    );
-    if let Some(path) = trace_path {
-        // Simulated seconds -> trace microseconds.
-        let trace = ChromeTrace::from_recorder(&recorder, 1e6);
-        let json = trace.to_json();
-        let parsed = ChromeTrace::from_json(&json).expect("trace export parses back");
-        assert_eq!(
-            parsed.events.len(),
-            trace.events.len(),
-            "trace round-trip preserves every event"
-        );
-        std::fs::write(path, &json).expect("trace file is writable");
-        eprintln!("wrote trace: {path} ({} events)", trace.events.len());
-    }
-    if let Some(path) = metrics_path {
-        let text = recorder.metrics().render_text();
-        std::fs::write(path, &text).expect("metrics file is writable");
-        eprintln!("wrote metrics: {path} ({} lines)", text.lines().count());
-    }
+    let traffic = TrafficSpec {
+        process: ArrivalProcess::Poisson { rate },
+        mix: ModelMix::uniform(models.len()),
+    };
+    (sim, traffic, duration_s)
 }
 
 /// Serves CNN-1 on three fleets of the same size but different silicon:
@@ -300,11 +315,9 @@ fn cross_backend_study(requests: f64) {
         ],
     );
     for (label, mut sim) in fleets {
-        sim.set_duration(duration_s);
-        let report = sim.run(&TrafficSpec {
-            process: ArrivalProcess::Poisson { rate },
-            mix: ModelMix::single(0),
-        });
+        sim.set_duration(duration_s)
+            .expect("the study horizon is positive");
+        let report = run(&sim, &TrafficSpec::poisson(rate, 0));
         table.row(&[
             label.to_string(),
             format!("{:.0}", sim.fleet_capacity_rps(0)),
@@ -380,15 +393,18 @@ fn mixed_zoo_study(models: &[timely_nn::Model], config: &TimelyConfig, requests:
             },
         )
         .expect("serving models fit on one chip");
-        let report = sim.run(&TrafficSpec {
-            process: ArrivalProcess::Bursty {
-                base_rate: 0.5 * base,
-                burst_rate: 2.0 * base,
-                mean_burst_s: 0.1 * duration_s,
-                mean_quiet_s: 0.2 * duration_s,
+        let report = run(
+            &sim,
+            &TrafficSpec {
+                process: ArrivalProcess::Bursty {
+                    base_rate: 0.5 * base,
+                    burst_rate: 2.0 * base,
+                    mean_burst_s: 0.1 * duration_s,
+                    mean_quiet_s: 0.2 * duration_s,
+                },
+                mix: ModelMix::uniform(models.len()),
             },
-            mix: ModelMix::uniform(models.len()),
-        });
+        );
         let label = match sharding {
             Sharding::Replicate => "replicate",
             Sharding::Partition => "partition",
@@ -409,45 +425,14 @@ fn mixed_zoo_study(models: &[timely_nn::Model], config: &TimelyConfig, requests:
     table.print();
 }
 
-/// Failure/straggler/load-shedding study: the whole serving zoo on two
-/// chips under join-the-shortest-queue at 90 % load, re-run under injected
-/// fault windows and an admission cap. Every arm is seeded and the fault
-/// schedule is fixed at fractions of the horizon, so the tables are
-/// deterministic. A second table cross-checks the constant-memory
-/// streaming statistics mode against the exact accumulator on the
-/// baseline arm.
+/// Failure/straggler/load-shedding study: [`zoo_pair`] at 90 % load, re-run
+/// under injected fault windows and an admission cap. Every arm is seeded
+/// and the fault schedule is fixed at fractions of the horizon, so the
+/// tables are deterministic. A second table cross-checks the
+/// constant-memory streaming statistics mode against the exact accumulator
+/// on the baseline arm.
 fn scenario_study(models: &[timely_nn::Model], config: &TimelyConfig, requests: f64) {
-    let profiles: Vec<timely_sim::ModelProfile> = models
-        .iter()
-        .map(|m| {
-            timely_sim::ModelProfile::for_model(m, config).expect("serving models fit on one chip")
-        })
-        .collect();
-    let chips = 2;
-    let rate = 0.9
-        * profiles
-            .iter()
-            .map(timely_sim::ModelProfile::capacity_rps)
-            .fold(f64::INFINITY, f64::min)
-        * chips as f64;
-    let max_latency = profiles.iter().map(|p| p.latency_s).fold(0.0, f64::max);
-    let duration_s = (requests / rate).max(50.0 * max_latency);
-    let sim = ServingSimulator::new(
-        models,
-        config,
-        SimConfig {
-            seed: SEED,
-            duration_s,
-            chips,
-            policy: Policy::ShortestQueue,
-            sharding: Sharding::Replicate,
-        },
-    )
-    .expect("serving models fit on one chip");
-    let spec = TrafficSpec {
-        process: ArrivalProcess::Poisson { rate },
-        mix: ModelMix::uniform(models.len()),
-    };
+    let (sim, spec, duration_s) = zoo_pair(models, config, 0.9, requests);
     // Chip 0 goes dark for the middle third; chip 1 runs at quarter speed
     // for the middle half.
     let outage = Fault::outage(0, duration_s / 3.0, duration_s / 3.0);
@@ -496,7 +481,7 @@ fn scenario_study(models: &[timely_nn::Model], config: &TimelyConfig, requests: 
     );
     for (label, scenario) in &arms {
         let report = sim
-            .run_scenario(&spec, scenario)
+            .run_scenario_recorded(&spec, scenario, &mut NoopRecorder)
             .expect("scenario arms are well-formed");
         table.row(&[
             (*label).to_string(),
@@ -513,16 +498,15 @@ fn scenario_study(models: &[timely_nn::Model], config: &TimelyConfig, requests: 
     table.print();
 
     // --- Exact vs streaming statistics on the baseline arm -------------------
-    let exact = sim
-        .run_scenario(&spec, &Scenario::default())
-        .expect("baseline arm");
+    let exact = run(&sim, &spec);
     let streaming = sim
-        .run_scenario(
+        .run_scenario_recorded(
             &spec,
             &Scenario {
                 stats: StatsMode::Streaming,
                 ..Scenario::default()
             },
+            &mut NoopRecorder,
         )
         .expect("streaming arm");
     let mut table = Table::new(
@@ -576,7 +560,7 @@ fn analytical_crosscheck(models: &[timely_nn::Model], config: &TimelyConfig, req
             },
         )
         .expect("serving models fit on one chip");
-        let report = sim.run(&TrafficSpec::poisson(rate, 0));
+        let report = run(&sim, &TrafficSpec::poisson(rate, 0));
         let analytical_ms = profile.latency_s * 1e3;
         let drift = (report.latency.p50_ms - analytical_ms).abs() / analytical_ms;
         table.row(&[

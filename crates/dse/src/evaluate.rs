@@ -43,7 +43,7 @@ use timely_core::{
 };
 use timely_nn::workload::ModelWorkload;
 use timely_nn::Model;
-use timely_sim::serving_check_backend;
+use timely_sim::serving_check;
 
 /// The objective vector of one design point. Lower is better on every axis.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -762,7 +762,7 @@ impl Evaluator {
         self.serving_counts.runs += 1;
         let mut per_chip = config.clone();
         per_chip.chips = 1;
-        let report = serving_check_backend(
+        let report = serving_check(
             &self.workloads,
             &TimelyAccelerator::new(per_chip),
             config.chips.max(1),

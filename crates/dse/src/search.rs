@@ -307,29 +307,11 @@ impl Explorer {
         }
     }
 
-    /// Runs one strategy and records a phase span for it: track 0, category
-    /// `dse.strategy`, named by [`Strategy::label`], spanning the strategy's
-    /// slice of the candidate stream on the explorer's logical time axis
-    /// (cumulative candidates visited). Searches are not hot per-candidate,
-    /// so dynamic dispatch is fine here — no generic bound to thread through
-    /// callers.
-    pub fn run_recorded(&mut self, strategy: &Strategy, recorder: &mut dyn timely_obs::Recorder) {
-        let start = self.screen.visited as f64;
-        self.run(strategy);
-        recorder.span(
-            0,
-            &strategy.label(),
-            "dse.strategy",
-            start,
-            self.screen.visited as f64,
-        );
-    }
-
     /// Promotes the explorer's accounting into `recorder`'s registry under
     /// stable `dse.screen.*` / `dse.eval.*` counter keys. Call once after
     /// the strategies finish; counters are cumulative, so calling it again
     /// would double-count.
-    pub fn record_stats(&self, recorder: &mut dyn timely_obs::Recorder) {
+    pub fn record_stats(&self, recorder: &mut impl timely_obs::Recorder) {
         let screen = self.screen;
         recorder.counter_add("dse.screen.visited", screen.visited as u64);
         recorder.counter_add("dse.screen.screened_out", screen.screened_out as u64);
@@ -766,32 +748,20 @@ mod tests {
 
     #[test]
     fn recorded_runs_span_the_candidate_stream_and_promote_stats() {
+        // The study bins' `dse.strategy` spans sit on this logical axis:
+        // each strategy advances the candidates visited by its own count.
         let mut ex = explorer();
+        ex.run(&Strategy::Grid {
+            max_points: usize::MAX,
+        });
+        assert_eq!(ex.screen_stats().visited, 12);
+        ex.run(&Strategy::Random {
+            samples: 20,
+            seed: 5,
+        });
+        assert_eq!(ex.screen_stats().visited, 32);
         let mut recorder = timely_obs::TraceRecorder::new();
-        ex.run_recorded(
-            &Strategy::Grid {
-                max_points: usize::MAX,
-            },
-            &mut recorder,
-        );
-        ex.run_recorded(
-            &Strategy::Random {
-                samples: 20,
-                seed: 5,
-            },
-            &mut recorder,
-        );
         ex.record_stats(&mut recorder);
-        // One contiguous span per strategy on the logical candidate axis.
-        let spans = recorder.spans();
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].name, "grid/full");
-        assert_eq!(spans[0].cat, "dse.strategy");
-        assert_eq!(spans[0].start_ts, 0.0);
-        assert_eq!(spans[0].end_ts, 12.0);
-        assert_eq!(spans[1].name, "random/20");
-        assert_eq!(spans[1].start_ts, 12.0);
-        assert_eq!(spans[1].end_ts, 32.0);
         // The promoted counters tie out against the report's accounting.
         let report = ex.report();
         let metrics = recorder.metrics();
@@ -815,16 +785,6 @@ mod tests {
             metrics.counter("dse.eval.cache_hits") + metrics.counter("dse.eval.cache_misses"),
             report.stats.lookups() as u64
         );
-        // Recording never perturbs the search itself.
-        let mut plain = explorer();
-        plain.run(&Strategy::Grid {
-            max_points: usize::MAX,
-        });
-        plain.run(&Strategy::Random {
-            samples: 20,
-            seed: 5,
-        });
-        assert_eq!(plain.report(), report);
     }
 
     #[test]

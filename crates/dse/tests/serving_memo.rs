@@ -4,13 +4,13 @@
 //! (per-chip initiation interval and latency of every model, plus the chip
 //! count) and answers every other point with the same physics from its memo.
 //! These tests pin that shortcut bitwise: every point's p99 (or infeasibility
-//! reason) must equal what a fresh `serving_check_backend` call on that point
+//! reason) must equal what a fresh `serving_check` call on that point
 //! produces.
 
 use timely_core::{Features, TimelyAccelerator, TimelyConfig};
 use timely_dse::{Evaluator, PointOutcome, SearchSpace, ServingCheck};
 use timely_nn::{zoo, Model};
-use timely_sim::serving_check_backend;
+use timely_sim::serving_check;
 
 const CHECK: ServingCheck = ServingCheck {
     load: 0.7,
@@ -23,7 +23,7 @@ const CHECK: ServingCheck = ServingCheck {
 fn oracle(models: &[Model], config: &TimelyConfig) -> Result<f64, String> {
     let mut per_chip = config.clone();
     per_chip.chips = 1;
-    let report = serving_check_backend(
+    let report = serving_check(
         models,
         &TimelyAccelerator::new(per_chip),
         config.chips.max(1),

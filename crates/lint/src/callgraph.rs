@@ -126,7 +126,9 @@ impl CallGraph {
     /// Walks the graph from each entry spec (in order) and returns every
     /// panic site reachable from at least one entry. A site is attributed
     /// to the first entry that reaches it; chains are BFS-shortest and
-    /// deterministic (neighbors visited in ascending id order).
+    /// deterministic (neighbors visited in ascending id order). An entry
+    /// that resolves to no function reaches nothing; `lint_workspace`
+    /// reports it as a violation.
     pub fn reachable_panic_sites(&self, entries: &[String]) -> Vec<ReachableSite> {
         let mut claimed: BTreeSet<usize> = BTreeSet::new();
         let mut out = Vec::new();

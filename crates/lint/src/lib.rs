@@ -75,6 +75,8 @@ pub struct GraphStats {
     pub panic_sites: usize,
     /// The configured `panic-reachability` entry-point specs.
     pub entry_points: Vec<String>,
+    /// Entry-point specs resolving to no function in the linted files.
+    pub unresolved_entries: Vec<String>,
 }
 
 /// The outcome of linting a set of files.
@@ -352,6 +354,11 @@ pub fn lint_sources(files: &[(String, String)], config: &LintConfig) -> LintRepo
         .rule_list("panic-reachability", "entry-points")
         .map(<[String]>::to_vec)
         .unwrap_or_default();
+    let unresolved_entries: Vec<String> = entry_points
+        .iter()
+        .filter(|entry| graph.symbols.resolve_entry(entry).is_empty())
+        .cloned()
+        .collect();
     for site in graph.reachable_panic_sites(&entry_points) {
         let symbol = &graph.symbols.symbols[site.node];
         if !config.rule_applies("panic-reachability", &symbol.path) {
@@ -385,6 +392,7 @@ pub fn lint_sources(files: &[(String, String)], config: &LintConfig) -> LintRepo
             edges: graph.edge_count(),
             panic_sites: graph.panic_site_count(),
             entry_points,
+            unresolved_entries,
         },
         ..Default::default()
     };
@@ -448,6 +456,10 @@ pub fn lint_sources(files: &[(String, String)], config: &LintConfig) -> LintRepo
 }
 
 /// Lints every configured file under `root` (the workspace checkout).
+///
+/// Here the files are the whole workspace, so an entry point that resolves
+/// to no function (a typo, a renamed method) would silently switch its walk
+/// off: each is an unsuppressible violation against `lint.toml`.
 pub fn lint_workspace(root: &Path, config: &LintConfig) -> Result<LintReport, LintError> {
     let files = collect_files(root, config)?;
     let mut inputs = Vec::with_capacity(files.len());
@@ -458,7 +470,18 @@ pub fn lint_workspace(root: &Path, config: &LintConfig) -> Result<LintReport, Li
         })?;
         inputs.push((relative_path(root, path), source));
     }
-    Ok(lint_sources(&inputs, config))
+    let mut report = lint_sources(&inputs, config);
+    for entry in &report.graph.unresolved_entries {
+        let finding = Finding {
+            line: 0,
+            rule: "panic-reachability",
+            message: format!("entry point `{entry}` resolves to no function"),
+            hint: "name the function's current `Type::method` in entry-points".to_string(),
+        };
+        report.violations.push(("lint.toml".to_string(), finding));
+    }
+    report.violations.sort();
+    Ok(report)
 }
 
 #[cfg(test)]

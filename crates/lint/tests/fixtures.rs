@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use timely_lint::{config, lint_source, lint_sources, LintReport};
+use timely_lint::{config, lint_source, lint_sources, lint_workspace, LintReport};
 
 fn fixture(name: &str) -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -222,6 +222,37 @@ fn reach_fixture_reports_the_cross_file_chain() {
         "chain missing from message: {message}"
     );
     assert_eq!(report.graph.entry_points, vec!["Gate::open".to_string()]);
+}
+
+#[test]
+fn unresolved_entry_point_fails_the_workspace_lint() {
+    // A two-file workspace (the reachability fixtures) with one live entry
+    // point and one misspelled one: the typo must fail the gate instead of
+    // silently dropping the walk it names.
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let lint_with = |entries: &str| {
+        let cfg = config::parse(&format!(
+            "[scan]\nroots = [\"reach_entry.rs\", \"reach_chain.rs\"]\n\
+             [rules.panic-reachability]\nentry-points = [{entries}]\n"
+        ))
+        .expect("inline config parses");
+        lint_workspace(&root, &cfg).expect("fixture workspace lints")
+    };
+    let config_violations = |report: &LintReport| -> Vec<String> {
+        let on_config = report.violations.iter().filter(|(p, _)| p == "lint.toml");
+        on_config.map(|(_, f)| f.message.clone()).collect()
+    };
+    // Gate::open's reachable unwrap, plus the unresolved entry.
+    let report = lint_with("\"Gate::open\", \"Gate::opne\"");
+    assert_eq!(count_by_rule(&report).get("panic-reachability"), Some(&2));
+    assert_eq!(
+        config_violations(&report),
+        ["entry point `Gate::opne` resolves to no function"]
+    );
+    // Spelled right, the entry resolves and only the reachable site fires.
+    let fixed = lint_with("\"Gate::open\"");
+    assert_eq!(count_by_rule(&fixed).get("panic-reachability"), Some(&1));
+    assert!(config_violations(&fixed).is_empty());
 }
 
 #[test]

@@ -66,10 +66,12 @@ fn live_call_graph_covers_the_workspace() {
         report.graph.entry_points,
         vec![
             "Backend::evaluate".to_string(),
-            "ServingSimulator::run_scenario".to_string(),
+            "ServingSimulator::run_scenario_recorded".to_string(),
             "Explorer::run".to_string(),
         ]
     );
+    // An entry naming no function would walk nothing: its panic gate off.
+    assert_eq!(report.graph.unresolved_entries, Vec::<String>::new());
 }
 
 #[test]

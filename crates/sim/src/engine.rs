@@ -287,9 +287,7 @@ impl ServingSimulator {
         if models == 0 {
             return invalid("a serving fleet needs at least one model");
         }
-        if !(config.duration_s > 0.0 && config.duration_s.is_finite()) {
-            return invalid("the simulated duration must be a positive finite number of seconds");
-        }
+        check_duration(config.duration_s)?;
         // Policy parameters are validated at run time (`Policy::check` in
         // `run_scenario_recorded`), where the error has a `Result` channel.
         // The profile matrix is the single source of truth for the fleet
@@ -323,12 +321,16 @@ impl ServingSimulator {
 
     /// Replaces the simulated horizon (used when the horizon is sized from
     /// the fleet's capacity, which is only known after construction).
-    pub fn set_duration(&mut self, duration_s: f64) {
-        assert!(
-            duration_s > 0.0 && duration_s.is_finite(),
-            "duration must be > 0"
-        );
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArchError::InvalidConfig`] (as [`EvalError::Arch`]) unless
+    /// `duration_s` is a positive finite number of seconds, the same check
+    /// the constructors apply; the horizon is left unchanged then.
+    pub fn set_duration(&mut self, duration_s: f64) -> Result<(), EvalError> {
+        check_duration(duration_s)?;
         self.config.duration_s = duration_s;
+        Ok(())
     }
 
     /// Aggregate fleet capacity for model `m` in requests per second: the
@@ -342,79 +344,38 @@ impl ServingSimulator {
             .sum()
     }
 
-    /// Runs the simulation under the given traffic and returns the report.
+    /// Runs the simulation under the given traffic and [`Scenario`] and
+    /// returns the report. This is the simulator's one entry point:
+    /// `Scenario::default()` is a plain run (no faults, no admission cap,
+    /// exact statistics, calendar queue) and [`NoopRecorder`] records
+    /// nothing.
     ///
-    /// Runs are deterministic: the same simulator, traffic, and
-    /// [`SimConfig::seed`] always produce an identical [`SimReport`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the traffic mix references a model index outside the fleet's
-    /// model list, or if the arrival process or dispatch policy parameters
-    /// are invalid ([`ServingSimulator::run_scenario`] is the panic-free
-    /// form).
-    pub fn run(&self, traffic: &TrafficSpec) -> SimReport {
-        self.run_recorded(traffic, &mut NoopRecorder)
-    }
-
-    /// [`ServingSimulator::run`] with deterministic telemetry: per-event-type
-    /// counters (`sim.event.*`), per-chip busy spans on simulated time (one
-    /// span per issued request, track = chip index), the fleet queue-depth
-    /// high-water gauge (`sim.queue.depth_peak`), and per-model latency
-    /// histograms in milliseconds (`sim.latency_ms.<model>`).
-    ///
-    /// The recorder never influences the run: `run_recorded` with any
-    /// recorder returns the same [`SimReport`] as [`ServingSimulator::run`],
-    /// and with a [`NoopRecorder`] the instrumented hot path monomorphizes
-    /// back to the uninstrumented code (no allocation, no dispatch).
-    ///
-    /// # Panics
-    ///
-    /// See [`ServingSimulator::run`].
-    pub fn run_recorded<R: Recorder>(&self, traffic: &TrafficSpec, recorder: &mut R) -> SimReport {
-        match self.run_scenario_recorded(traffic, &Scenario::default(), recorder) {
-            Ok(report) => report,
-            // Documented contract of the infallible entry points;
-            // run_scenario is the Result form. lint:allow(panic)
-            Err(err) => panic!("{err}"),
-        }
-    }
-
-    /// Runs the simulation under a [`Scenario`]: fault injection (outages
-    /// and stragglers), queue-depth admission control, a streaming or exact
-    /// statistics accumulator, and the event-queue backing.
-    ///
-    /// `run_scenario` with `Scenario::default()` is exactly
-    /// [`ServingSimulator::run`]. Scenario runs are as deterministic as
-    /// plain runs: faults travel through the same event queue as arrivals,
-    /// so two runs with the same seed and scenario are bit-identical.
+    /// Runs are deterministic: the same simulator, traffic, scenario and
+    /// [`SimConfig::seed`] always produce an identical [`SimReport`]. Faults
+    /// travel through the same event queue as arrivals, so fault injection
+    /// is as reproducible as the traffic.
     ///
     /// A shed arrival is dropped before dispatch: it counts in
     /// [`SimReport::shed`] (never in backlog), and a closed-loop client
     /// whose request is shed retires for the rest of the run.
     ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] when the traffic, mix, or scenario is malformed
-    /// (this is the panic-free form of the checks [`ServingSimulator::run`]
-    /// documents as panics).
-    pub fn run_scenario(
-        &self,
-        traffic: &TrafficSpec,
-        scenario: &Scenario,
-    ) -> Result<SimReport, SimError> {
-        self.run_scenario_recorded(traffic, scenario, &mut NoopRecorder)
-    }
-
-    /// [`ServingSimulator::run_scenario`] with deterministic telemetry: the
-    /// [`ServingSimulator::run_recorded`] streams plus `sim.failures.*`
-    /// counters (`outage`/`straggler`/`recovered`), the `sim.shed` counter,
-    /// and one span per fault window (track = chip index, category
-    /// `"fault"`).
+    /// The recorder receives deterministic telemetry: per-event-type
+    /// counters (`sim.event.*`), per-chip busy spans on simulated time (one
+    /// span per issued request, track = chip index), the fleet queue-depth
+    /// high-water gauge (`sim.queue.depth_peak`), per-model latency
+    /// histograms in milliseconds (`sim.latency_ms.<model>`),
+    /// `sim.failures.*` counters (`outage`/`straggler`/`recovered`), the
+    /// `sim.shed` counter, and one span per fault window (track = chip
+    /// index, category `"fault"`). The recorder never influences the run:
+    /// every recorder yields the same [`SimReport`], and with a
+    /// [`NoopRecorder`] the instrumented hot path monomorphizes back to the
+    /// uninstrumented code (no allocation, no dispatch).
     ///
     /// # Errors
     ///
-    /// See [`ServingSimulator::run_scenario`].
+    /// Returns [`SimError`] when the arrival process, dispatch policy,
+    /// traffic mix (a model index outside the fleet) or scenario is
+    /// malformed.
     pub fn run_scenario_recorded<R: Recorder>(
         &self,
         traffic: &TrafficSpec,
@@ -433,6 +394,18 @@ impl ServingSimulator {
         scenario.check(self.chip_profiles.len())?;
         Ok(Run::new(self, traffic, scenario, recorder).execute())
     }
+}
+
+/// Rejects a simulated horizon that is not a positive finite number of
+/// seconds.
+fn check_duration(duration_s: f64) -> Result<(), EvalError> {
+    if duration_s > 0.0 && duration_s.is_finite() {
+        return Ok(());
+    }
+    let reason = "the simulated duration must be a positive finite number of seconds";
+    Err(EvalError::Arch(ArchError::InvalidConfig {
+        reason: reason.to_string(),
+    }))
 }
 
 /// Per-model constant-memory latency accumulator: a log-bucketed histogram
@@ -992,7 +965,7 @@ impl<'a, R: Recorder> Run<'a, R> {
 }
 
 /// Stable telemetry key for one event type (the `sim.event.*` counters of
-/// [`ServingSimulator::run_recorded`]).
+/// [`ServingSimulator::run_scenario_recorded`]).
 fn event_key(event: &Event) -> &'static str {
     match event {
         Event::Arrival(_) => "sim.event.arrival",
@@ -1005,9 +978,9 @@ fn event_key(event: &Event) -> &'static str {
 }
 
 /// Batch-evaluation entry point for design-space exploration (`timely-dse`):
-/// simulates a uniform mix of `models` on a fleet of `chip_config.chips`
-/// replicated chips under open-loop Poisson traffic at `load` × the fleet's
-/// mix capacity, for approximately `requests` arrivals, and returns the run's
+/// simulates a uniform mix of `models` on `chips` replicated instances of
+/// `backend` under open-loop Poisson traffic at `load` × the fleet's mix
+/// capacity, for approximately `requests` arrivals, and returns the run's
 /// [`SimReport`].
 ///
 /// The fleet's mix capacity is conservatively taken as the slowest model's
@@ -1019,40 +992,11 @@ fn event_key(event: &Event) -> &'static str {
 ///
 /// # Errors
 ///
-/// Propagates profiling errors (invalid configuration, a model too large for
-/// one chip), rejects an empty model list, and returns
-/// [`ArchError::InvalidConfig`] (as [`EvalError::Arch`]) unless `load` is a
-/// positive finite number and `requests` a finite number `>= 1`.
-pub fn serving_check(
-    models: &[Model],
-    chip_config: &TimelyConfig,
-    load: f64,
-    requests: f64,
-    seed: u64,
-) -> Result<SimReport, EvalError> {
-    let mut per_chip = chip_config.clone();
-    per_chip.chips = 1;
-    serving_check_backend(
-        models,
-        &TimelyAccelerator::new(per_chip),
-        chip_config.chips.max(1),
-        load,
-        requests,
-        seed,
-    )
-}
-
-/// The backend-generic [`serving_check`]: simulates a uniform mix of
-/// `models` on `chips` replicated instances of `backend` under open-loop
-/// Poisson traffic at `load` × the fleet's mix capacity.
-///
-/// # Errors
-///
 /// Propagates evaluation errors (invalid configuration, a model the backend
 /// does not support), rejects an empty model list or zero chips, and returns
 /// [`ArchError::InvalidConfig`] (as [`EvalError::Arch`]) unless `load` is a
 /// positive finite number and `requests` a finite number `>= 1`.
-pub fn serving_check_backend(
+pub fn serving_check(
     models: &[Model],
     backend: &dyn Backend,
     chips: usize,
@@ -1071,7 +1015,7 @@ pub fn serving_check_backend(
             "a serving check needs a finite request count >= 1, got {requests}"
         ));
     }
-    let sim = ServingSimulator::for_backend(
+    let mut sim = ServingSimulator::for_backend(
         models,
         backend,
         SimConfig {
@@ -1092,7 +1036,6 @@ pub fn serving_check_backend(
         .iter()
         .map(|p| p.latency_s)
         .fold(0.0, f64::max);
-    let mut sim = sim;
     // Keep the horizon well above the unqueued latency so in-flight
     // censoring at the horizon stays negligible.
     sim.config.duration_s = (requests / rate).max(20.0 * max_latency);
@@ -1103,7 +1046,7 @@ pub fn serving_check_backend(
     // The fallible run keeps this entry point (the explorer's serving
     // objective) panic-free: a malformed derived rate surfaces as an
     // evaluation error, not a crash mid-sweep.
-    sim.run_scenario(&traffic, &Scenario::default())
+    sim.run_scenario_recorded(&traffic, &Scenario::default(), &mut NoopRecorder)
         .map_err(|err| EvalError::Unsupported {
             backend: backend.id(),
             reason: format!("serving simulation rejected its inputs: {err}"),
@@ -1114,6 +1057,12 @@ pub fn serving_check_backend(
 mod tests {
     use super::*;
     use timely_nn::zoo;
+
+    /// A plain run: the default scenario, nothing recorded.
+    fn run(sim: &ServingSimulator, traffic: &TrafficSpec) -> SimReport {
+        sim.run_scenario_recorded(traffic, &Scenario::default(), &mut NoopRecorder)
+            .expect("valid traffic")
+    }
 
     fn profile_cnn_1() -> ModelProfile {
         ModelProfile::for_model(&zoo::cnn_1(), &TimelyConfig::paper_default()).unwrap()
@@ -1156,7 +1105,7 @@ mod tests {
         let rate = 0.05 * profile.capacity_rps();
         let duration = 500.0 / rate; // ~500 arrivals
         let sim = small_fleet(1, Policy::Fifo, duration);
-        let report = sim.run(&TrafficSpec::poisson(rate, 0));
+        let report = run(&sim, &TrafficSpec::poisson(rate, 0));
         assert!(report.completed > 100, "completed {}", report.completed);
         let expected_ms = profile.latency_s * 1e3;
         // At 5% load queueing is negligible: p50 equals the service latency.
@@ -1174,13 +1123,14 @@ mod tests {
         let profile = profile_cnn_1();
         let duration = 2_000.0 * profile.initiation_interval_s; // ~2000 completions
         let sim = small_fleet(1, Policy::Fifo, duration);
-        let report = sim.run(&TrafficSpec {
+        let closed_loop = TrafficSpec {
             process: ArrivalProcess::ClosedLoop {
                 clients: profile.saturating_clients(),
                 think_time_s: 0.0,
             },
             mix: ModelMix::single(0),
-        });
+        };
+        let report = run(&sim, &closed_loop);
         let capacity = sim.fleet_capacity_rps(0);
         assert!(
             (report.throughput_rps - capacity).abs() / capacity < 0.05,
@@ -1196,19 +1146,22 @@ mod tests {
         let profile = profile_cnn_1();
         let duration = 1_000.0 * profile.initiation_interval_s;
         let clients = profile.saturating_clients() * 2;
-        let run = |chips: usize| {
-            let sim = small_fleet(chips, Policy::ShortestQueue, duration);
-            sim.run(&TrafficSpec {
-                process: ArrivalProcess::ClosedLoop {
-                    clients,
-                    think_time_s: 0.0,
-                },
-                mix: ModelMix::single(0),
-            })
+        let closed_loop = TrafficSpec {
+            process: ArrivalProcess::ClosedLoop {
+                clients,
+                think_time_s: 0.0,
+            },
+            mix: ModelMix::single(0),
+        };
+        let throughput = |chips: usize| {
+            run(
+                &small_fleet(chips, Policy::ShortestQueue, duration),
+                &closed_loop,
+            )
             .throughput_rps
         };
-        let one = run(1);
-        let two = run(2);
+        let one = throughput(1);
+        let two = throughput(2);
         assert!((two / one - 2.0).abs() < 0.1, "scaling {}", two / one);
     }
 
@@ -1218,8 +1171,8 @@ mod tests {
         let duration = 1_000.0 * profile.initiation_interval_s;
         let sim = small_fleet(1, Policy::Fifo, duration);
         let capacity = sim.fleet_capacity_rps(0);
-        let light = sim.run(&TrafficSpec::poisson(0.2 * capacity, 0));
-        let heavy = sim.run(&TrafficSpec::poisson(3.0 * capacity, 0));
+        let light = run(&sim, &TrafficSpec::poisson(0.2 * capacity, 0));
+        let heavy = run(&sim, &TrafficSpec::poisson(3.0 * capacity, 0));
         assert!(heavy.backlog > light.backlog);
         assert!(heavy.latency.p99_ms > light.latency.p99_ms);
         assert!(heavy.mean_queue_depth > light.mean_queue_depth);
@@ -1240,7 +1193,7 @@ mod tests {
             },
             duration,
         );
-        let report = sim.run(&TrafficSpec::poisson(rate, 0));
+        let report = run(&sim, &TrafficSpec::poisson(rate, 0));
         assert!(report.completed > 100);
         // Batched requests wait in the window on top of service latency, so
         // the median sits at or above the unqueued latency.
@@ -1266,10 +1219,11 @@ mod tests {
             },
         )
         .unwrap();
-        let report = sim.run(&TrafficSpec {
+        let traffic = TrafficSpec {
             process: ArrivalProcess::Poisson { rate: 2000.0 },
             mix: ModelMix::uniform(2),
-        });
+        };
+        let report = run(&sim, &traffic);
         // Both chips saw work, and issue counts equal per-model completions
         // plus whatever is still in flight.
         assert!(report.chips[0].issued > 0);
@@ -1292,8 +1246,8 @@ mod tests {
             },
             mix: ModelMix::single(0),
         };
-        let a = sim.run(&traffic);
-        let b = sim.run(&traffic);
+        let a = run(&sim, &traffic);
+        let b = run(&sim, &traffic);
         assert_eq!(a, b);
         assert!(a.completed > 0);
     }
@@ -1304,9 +1258,9 @@ mod tests {
         let rate = 0.5 * profile.capacity_rps();
         let mut sim = small_fleet(1, Policy::Fifo, 500.0 / rate);
         let traffic = TrafficSpec::poisson(rate, 0);
-        let a = sim.run(&traffic);
+        let a = run(&sim, &traffic);
         sim.config.seed = 43;
-        let b = sim.run(&traffic);
+        let b = run(&sim, &traffic);
         assert_ne!(a.latency, b.latency);
     }
 
@@ -1315,7 +1269,7 @@ mod tests {
         let profile = profile_cnn_1();
         let rate = 0.3 * profile.capacity_rps();
         let sim = small_fleet(1, Policy::Fifo, 500.0 / rate);
-        let report = sim.run(&TrafficSpec::poisson(rate, 0));
+        let report = run(&sim, &TrafficSpec::poisson(rate, 0));
         let per_req = sim.profiles()[0].energy_mj;
         // The fleet's total energy counts *issued* requests; per-request
         // energy divides by completions, so it is >= the profile value.
@@ -1327,9 +1281,9 @@ mod tests {
     #[test]
     fn serving_check_is_deterministic_and_stays_below_saturation() {
         let models = [zoo::cnn_1(), zoo::mlp_l()];
-        let cfg = TimelyConfig::paper_default();
-        let a = serving_check(&models, &cfg, 0.3, 200.0, 9).unwrap();
-        let b = serving_check(&models, &cfg, 0.3, 200.0, 9).unwrap();
+        let chip = TimelyAccelerator::new(TimelyConfig::paper_default());
+        let a = serving_check(&models, &chip, 1, 0.3, 200.0, 9).unwrap();
+        let b = serving_check(&models, &chip, 1, 0.3, 200.0, 9).unwrap();
         assert_eq!(a, b);
         assert!(a.completed > 100);
         // At 30% of the slowest model's capacity nothing piles up.
@@ -1374,8 +1328,8 @@ mod tests {
         );
         // The mixed fleet still runs deterministically and serves traffic.
         let traffic = TrafficSpec::poisson(0.6 * sim.fleet_capacity_rps(0), 0);
-        let a = sim.run(&traffic);
-        let b = sim.run(&traffic);
+        let a = run(&sim, &traffic);
+        let b = run(&sim, &traffic);
         assert_eq!(a, b);
         assert!(a.completed > 0);
         assert!(a.chips[0].issued > 0 && a.chips[1].issued > 0);
@@ -1389,14 +1343,14 @@ mod tests {
     }
 
     #[test]
-    fn run_recorded_with_a_noop_recorder_matches_run_exactly() {
+    fn trace_and_noop_recorders_return_identical_reports() {
         let profile = profile_cnn_1();
         let rate = 0.6 * profile.capacity_rps();
         let sim = small_fleet(2, Policy::ShortestQueue, 300.0 / rate);
         let traffic = TrafficSpec::poisson(rate, 0);
-        let plain = sim.run(&traffic);
-        let recorded = sim.run_recorded(&traffic, &mut timely_obs::NoopRecorder);
-        assert_eq!(plain, recorded);
+        let mut recorder = timely_obs::TraceRecorder::new();
+        let traced = sim.run_scenario_recorded(&traffic, &Scenario::default(), &mut recorder);
+        assert_eq!(traced, Ok(run(&sim, &traffic)));
     }
 
     #[test]
@@ -1406,8 +1360,9 @@ mod tests {
         let sim = small_fleet(2, Policy::ShortestQueue, 300.0 / rate);
         let traffic = TrafficSpec::poisson(rate, 0);
         let mut recorder = timely_obs::TraceRecorder::new();
-        let report = sim.run_recorded(&traffic, &mut recorder);
-        assert_eq!(report, sim.run(&traffic), "recording never perturbs a run");
+        let report = sim
+            .run_scenario_recorded(&traffic, &Scenario::default(), &mut recorder)
+            .unwrap();
         let metrics = recorder.metrics();
         // Counters tie out against the report's own accounting.
         assert_eq!(metrics.counter("sim.event.arrival"), report.offered);
@@ -1439,7 +1394,8 @@ mod tests {
         let traffic = TrafficSpec::poisson(rate, 0);
         let export = || {
             let mut recorder = timely_obs::TraceRecorder::new();
-            sim.run_recorded(&traffic, &mut recorder);
+            sim.run_scenario_recorded(&traffic, &Scenario::default(), &mut recorder)
+                .unwrap();
             timely_obs::ChromeTrace::from_recorder(&recorder, 1e6).to_json()
         };
         let a = export();
@@ -1490,20 +1446,34 @@ mod tests {
             assert!(invalid(ServingSimulator::new(&model, &cfg, config)));
         }
         assert!(matches!(
-            serving_check_backend(&model, &chip, 0, 0.5, 10.0, 1),
+            serving_check(&model, &chip, 0, 0.5, 10.0, 1),
             Err(EvalError::Arch(ArchError::InvalidConfig { .. }))
         ));
         assert!(matches!(
-            serving_check(&[], &cfg, 0.5, 10.0, 1),
+            serving_check(&[], &chip, 1, 0.5, 10.0, 1),
             Err(EvalError::Arch(ArchError::InvalidConfig { .. }))
         ));
     }
 
     #[test]
+    fn set_duration_rejects_bad_horizons_without_panicking() {
+        let mut sim = small_fleet(1, Policy::Fifo, 1.0);
+        for duration_s in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let err = sim.set_duration(duration_s);
+            assert!(matches!(
+                err,
+                Err(EvalError::Arch(ArchError::InvalidConfig { .. }))
+            ));
+        }
+        assert_eq!(sim.config.duration_s.to_bits(), 1f64.to_bits(), "kept");
+        assert!(sim.set_duration(0.5).is_ok());
+        assert_eq!(sim.config.duration_s.to_bits(), 0.5f64.to_bits());
+    }
+
+    #[test]
     fn serving_check_rejects_bad_load_and_requests_without_panicking() {
         let model = [zoo::cnn_1()];
-        let cfg = TimelyConfig::paper_default();
-        let chip = TimelyAccelerator::new(cfg.clone());
+        let chip = TimelyAccelerator::new(TimelyConfig::paper_default());
         let invalid = |result: Result<SimReport, EvalError>| {
             matches!(
                 result,
@@ -1512,32 +1482,26 @@ mod tests {
         };
         for load in [f64::NAN, 0.0, -0.5, f64::INFINITY, f64::NEG_INFINITY] {
             assert!(
-                invalid(serving_check(&model, &cfg, load, 10.0, 1)),
+                invalid(serving_check(&model, &chip, 1, load, 10.0, 1)),
                 "load {load}"
             );
-            assert!(invalid(serving_check_backend(
-                &model, &chip, 1, load, 10.0, 1
-            )));
         }
         for requests in [0.0, 0.5, -3.0, f64::NAN, f64::INFINITY] {
             assert!(
-                invalid(serving_check(&model, &cfg, 0.5, requests, 1)),
+                invalid(serving_check(&model, &chip, 1, 0.5, requests, 1)),
                 "requests {requests}"
             );
-            assert!(invalid(serving_check_backend(
-                &model, &chip, 1, 0.5, requests, 1
-            )));
         }
         // The boundary values themselves are accepted.
-        assert!(serving_check(&model, &cfg, 0.5, 1.0, 1).is_ok());
+        assert!(serving_check(&model, &chip, 1, 0.5, 1.0, 1).is_ok());
     }
 
     #[test]
     fn serving_check_propagates_model_too_large() {
-        let tiny = TimelyConfig {
+        let tiny = TimelyAccelerator::new(TimelyConfig {
             subchips_per_chip: 1,
             ..TimelyConfig::paper_default()
-        };
-        assert!(serving_check(&[zoo::vgg_d()], &tiny, 0.5, 50.0, 1).is_err());
+        });
+        assert!(serving_check(&[zoo::vgg_d()], &tiny, 1, 0.5, 50.0, 1).is_err());
     }
 }

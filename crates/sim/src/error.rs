@@ -1,10 +1,9 @@
 //! Structured simulator errors.
 //!
-//! The simulator has two API surfaces: infallible convenience entry points
-//! (`run`, `push`, `weighted`, ...) that keep their documented panics for
-//! driver code, and fallible forms (`run_scenario`, `try_push`,
-//! `try_weighted`, `check`, ...) that return [`SimError`] for library
-//! callers that must stay panic-free.
+//! Malformed inputs to the simulator's fallible APIs
+//! (`run_scenario_recorded`, `try_push`, `try_weighted`, `check`, ...)
+//! come back as a [`SimError`] instead of a panic, so library callers stay
+//! panic-free.
 
 use std::fmt;
 

@@ -123,21 +123,6 @@ impl ModelMix {
 
     /// A mix with explicit positive weights per model index.
     ///
-    /// # Panics
-    ///
-    /// Panics if `entries` is empty or any weight is not strictly positive
-    /// ([`ModelMix::try_weighted`] is the panic-free form).
-    pub fn weighted(entries: Vec<(usize, f64)>) -> Self {
-        match Self::try_weighted(entries) {
-            Ok(mix) => mix,
-            // Documented constructor contract; try_weighted is the
-            // fallible form. lint:allow(panic)
-            Err(err) => panic!("{err}"),
-        }
-    }
-
-    /// [`ModelMix::weighted`] with structural validation.
-    ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidTraffic`] if `entries` is empty or any
@@ -386,7 +371,7 @@ mod tests {
 
     #[test]
     fn mix_sampling_respects_weights() {
-        let mix = ModelMix::weighted(vec![(0, 3.0), (2, 1.0)]);
+        let mix = ModelMix::try_weighted(vec![(0, 3.0), (2, 1.0)]).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         let mut counts = [0usize; 3];
         for _ in 0..10_000 {

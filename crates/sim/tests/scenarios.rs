@@ -4,10 +4,10 @@
 
 use timely_core::TimelyConfig;
 use timely_nn::zoo;
-use timely_obs::TraceRecorder;
+use timely_obs::{NoopRecorder, TraceRecorder};
 use timely_sim::{
     ArrivalProcess, Fault, ModelMix, Policy, QueueKind, Scenario, ServingSimulator, Sharding,
-    SimConfig, StatsMode, TrafficSpec,
+    SimConfig, SimError, SimReport, StatsMode, TrafficSpec,
 };
 
 /// A two-model, multi-chip replicated fleet on the paper-default chip.
@@ -32,8 +32,17 @@ fn traffic(sim: &ServingSimulator, load: f64) -> TrafficSpec {
         process: ArrivalProcess::Poisson {
             rate: load * sim.fleet_capacity_rps(0),
         },
-        mix: ModelMix::weighted(vec![(0, 3.0), (1, 1.0)]),
+        mix: ModelMix::try_weighted(vec![(0, 3.0), (1, 1.0)]).expect("positive weights"),
     }
+}
+
+/// An unrecorded run under `scenario`.
+fn run(
+    sim: &ServingSimulator,
+    traffic: &TrafficSpec,
+    scenario: &Scenario,
+) -> Result<SimReport, SimError> {
+    sim.run_scenario_recorded(traffic, scenario, &mut NoopRecorder)
 }
 
 /// An outage on chip 0, a 4x straggler window on chip 1, and a queue cap.
@@ -53,8 +62,8 @@ fn scenario_runs_are_deterministic() {
     let sim = fleet(3, Policy::ShortestQueue);
     let spec = traffic(&sim, 0.9);
     let scenario = faulty_scenario();
-    let a = sim.run_scenario(&spec, &scenario).expect("valid scenario");
-    let b = sim.run_scenario(&spec, &scenario).expect("valid scenario");
+    let a = run(&sim, &spec, &scenario).expect("valid scenario");
+    let b = run(&sim, &spec, &scenario).expect("valid scenario");
     assert_eq!(a, b, "same seed + scenario must be bit-identical");
     assert_eq!(a.outages, 1);
     assert_eq!(a.stragglers, 1);
@@ -65,11 +74,7 @@ fn scenario_runs_are_deterministic() {
 fn a_default_scenario_is_exactly_a_plain_run() {
     let sim = fleet(2, Policy::Fifo);
     let spec = traffic(&sim, 0.7);
-    let plain = sim.run(&spec);
-    let scenario = sim
-        .run_scenario(&spec, &Scenario::default())
-        .expect("default scenario");
-    assert_eq!(plain, scenario);
+    let scenario = run(&sim, &spec, &Scenario::default()).expect("default scenario");
     assert_eq!(scenario.shed, 0);
     assert_eq!(
         scenario.outages + scenario.stragglers + scenario.recoveries,
@@ -85,8 +90,8 @@ fn the_heap_backing_reproduces_the_calendar_run() {
     calendar.queue = QueueKind::Calendar;
     let mut heap = faulty_scenario();
     heap.queue = QueueKind::Heap;
-    let a = sim.run_scenario(&spec, &calendar).expect("calendar run");
-    let b = sim.run_scenario(&spec, &heap).expect("heap run");
+    let a = run(&sim, &spec, &calendar).expect("calendar run");
+    let b = run(&sim, &spec, &heap).expect("heap run");
     assert_eq!(a, b, "queue backing must be observationally invisible");
 }
 
@@ -127,7 +132,7 @@ fn fault_and_shed_counters_tie_out_against_the_report() {
         .iter()
         .any(|s| s.name == "straggler" && s.track == 1));
     // The recorder must not perturb the run.
-    assert_eq!(report, sim.run_scenario(&spec, &scenario).expect("re-run"));
+    assert_eq!(report, run(&sim, &spec, &scenario).expect("re-run"));
 }
 
 #[test]
@@ -138,7 +143,7 @@ fn shedding_preserves_request_accounting() {
         admission_cap: Some(2),
         ..Scenario::default()
     };
-    let report = sim.run_scenario(&spec, &scenario).expect("valid scenario");
+    let report = run(&sim, &spec, &scenario).expect("valid scenario");
     assert!(report.shed > 0);
     assert_eq!(
         report.offered,
@@ -151,12 +156,12 @@ fn shedding_preserves_request_accounting() {
 fn an_outage_window_degrades_tail_latency() {
     let sim = fleet(2, Policy::ShortestQueue);
     let spec = traffic(&sim, 0.8);
-    let baseline = sim.run(&spec);
+    let baseline = run(&sim, &spec, &Scenario::default()).expect("default scenario");
     let scenario = Scenario {
         faults: vec![Fault::outage(0, 0.002, 0.012)],
         ..Scenario::default()
     };
-    let faulted = sim.run_scenario(&spec, &scenario).expect("valid scenario");
+    let faulted = run(&sim, &spec, &scenario).expect("valid scenario");
     assert!(
         faulted.latency.p99_ms >= baseline.latency.p99_ms,
         "losing half the fleet for most of the run cannot improve p99"
@@ -168,18 +173,16 @@ fn an_outage_window_degrades_tail_latency() {
 fn streaming_stats_agree_with_exact_within_a_bucket() {
     let sim = fleet(3, Policy::ShortestQueue);
     let spec = traffic(&sim, 0.9);
-    let exact = sim
-        .run_scenario(&spec, &Scenario::default())
-        .expect("exact run");
-    let streaming = sim
-        .run_scenario(
-            &spec,
-            &Scenario {
-                stats: StatsMode::Streaming,
-                ..Scenario::default()
-            },
-        )
-        .expect("streaming run");
+    let exact = run(&sim, &spec, &Scenario::default()).expect("exact run");
+    let streaming = run(
+        &sim,
+        &spec,
+        &Scenario {
+            stats: StatsMode::Streaming,
+            ..Scenario::default()
+        },
+    )
+    .expect("streaming run");
     // Everything outside the latency digests is unchanged.
     assert_eq!(exact.offered, streaming.offered);
     assert_eq!(exact.completed, streaming.completed);
@@ -239,9 +242,7 @@ fn stale_batch_deadlines_are_no_ops_under_both_queue_backings() {
             queue,
             ..Scenario::default()
         };
-        let a = sim
-            .run_scenario(&spec, &scenario_a)
-            .expect("short-window run");
+        let a = run(&sim, &spec, &scenario_a).expect("short-window run");
 
         let sim_b = fleet(
             2,
@@ -250,9 +251,7 @@ fn stale_batch_deadlines_are_no_ops_under_both_queue_backings() {
                 max_batch: 2,
             },
         );
-        let b = sim_b
-            .run_scenario(&spec, &scenario_a)
-            .expect("long-window run");
+        let b = run(&sim_b, &spec, &scenario_a).expect("long-window run");
         // The time-weighted queue-depth integral is split into different
         // summation chunks by the extra (no-op) deadline events, so it can
         // drift by a few ulps; every other field must match exactly.
@@ -275,17 +274,17 @@ fn malformed_scenarios_are_rejected_structurally() {
         faults: vec![Fault::outage(9, 0.0, 0.001)],
         ..Scenario::default()
     };
-    assert!(sim.run_scenario(&spec, &out_of_range).is_err());
+    assert!(run(&sim, &spec, &out_of_range).is_err());
     let zero_cap = Scenario {
         admission_cap: Some(0),
         ..Scenario::default()
     };
-    assert!(sim.run_scenario(&spec, &zero_cap).is_err());
+    assert!(run(&sim, &spec, &zero_cap).is_err());
     let bad_mix = TrafficSpec {
         process: ArrivalProcess::Poisson { rate: 1.0 },
-        mix: ModelMix::weighted(vec![(7, 1.0)]),
+        mix: ModelMix::try_weighted(vec![(7, 1.0)]).expect("positive weight"),
     };
-    assert!(sim.run_scenario(&bad_mix, &Scenario::default()).is_err());
+    assert!(run(&sim, &bad_mix, &Scenario::default()).is_err());
 }
 
 /// A pinned 64-chip join-the-shortest-queue run.
@@ -342,7 +341,7 @@ const LARGE_FLEET_PINS: [LargeFleetPin; 2] = [
 fn large_shortest_queue_fleets_match_pinned_reports() {
     let duration_s = 4e-5;
     let mut sim = fleet(64, Policy::ShortestQueue);
-    sim.set_duration(duration_s);
+    sim.set_duration(duration_s).expect("positive horizon");
     for pin in &LARGE_FLEET_PINS {
         let spec = traffic(&sim, pin.load);
         for stats in [StatsMode::Exact, StatsMode::Streaming] {
@@ -355,7 +354,7 @@ fn large_shortest_queue_fleets_match_pinned_reports() {
                 stats,
                 ..Scenario::default()
             };
-            let report = sim.run_scenario(&spec, &scenario).expect("valid scenario");
+            let report = run(&sim, &spec, &scenario).expect("valid scenario");
             let at = format!("load {} {stats:?}", pin.load);
             assert_eq!(report.offered, pin.offered, "{at}");
             assert_eq!(report.completed, pin.completed, "{at}");

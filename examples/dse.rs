@@ -72,9 +72,12 @@ fn main() {
                 .total_cmp(&b.objectives.energy_mj_per_inference)
         })
         .expect("frontier is non-empty");
+    let mut chip = pick.config.clone();
+    chip.chips = 1;
     let serving = timely::sim::serving_check(
         &timely::nn::zoo::dse_benchmarks(),
-        &pick.config,
+        &TimelyAccelerator::new(chip),
+        pick.config.chips,
         0.7,
         2_000.0,
         7,

@@ -14,10 +14,12 @@
 //!   [`registry()`](timely_baselines::registry) of every backend,
 //! * [`sim`] — a deterministic discrete-event serving simulator (traffic
 //!   generation, batching, multi-chip sharding, latency percentiles) layered
-//!   on the architecture model,
+//!   on the architecture model, run through
+//!   [`ServingSimulator::run_scenario_recorded`](timely_sim::ServingSimulator::run_scenario_recorded),
 //! * [`dse`] — a deterministic multi-objective design-space explorer
 //!   (declarative search spaces, grid/random/hill-climb strategies,
-//!   constraint pruning, memo-cached evaluation, Pareto frontiers),
+//!   constraint pruning, memo-cached evaluation, Pareto frontiers), run
+//!   through [`Explorer::run`](timely_dse::Explorer::run),
 //! * [`obs`] — observability: deterministic counters/gauges/histograms and
 //!   Chrome-trace span export keyed on simulated time, plus a strictly
 //!   separated opt-in wall-clock [`Profiler`](timely_obs::Profiler).

@@ -7,10 +7,17 @@ use timely::arch::{
     ThroughputReport, TimelyConfig,
 };
 use timely::nn::{ConvSpec, FeatureMap, ModelBuilder};
+use timely::obs::NoopRecorder;
 use timely::sim::{
-    ArrivalProcess, ModelMix, ModelProfile, Policy, ServingSimulator, Sharding, SimConfig,
-    TrafficSpec,
+    ArrivalProcess, ModelMix, ModelProfile, Policy, Scenario, ServingSimulator, Sharding,
+    SimConfig, SimReport, TrafficSpec,
 };
+
+/// A plain run: the default scenario, nothing recorded.
+fn run(sim: &ServingSimulator, traffic: &TrafficSpec) -> SimReport {
+    sim.run_scenario_recorded(traffic, &Scenario::default(), &mut NoopRecorder)
+        .expect("valid traffic")
+}
 
 /// A strategy producing small but valid convolutional models.
 fn small_conv_model() -> impl Strategy<Value = timely::nn::Model> {
@@ -146,12 +153,9 @@ proptest! {
             },
         )
         .expect("CNN-1 fits on one chip");
-        let traffic = TrafficSpec {
-            process: ArrivalProcess::Poisson { rate },
-            mix: ModelMix::single(0),
-        };
-        let a = sim.run(&traffic);
-        let b = sim.run(&traffic);
+        let traffic = TrafficSpec::poisson(rate, 0);
+        let a = run(&sim, &traffic);
+        let b = run(&sim, &traffic);
         prop_assert_eq!(a, b);
     }
 
@@ -186,7 +190,7 @@ proptest! {
 
         // Low load: 10% of capacity.
         let rate = 0.1 * analytical.inferences_per_second;
-        let low = build(400.0 / rate).run(&TrafficSpec::poisson(rate, 0));
+        let low = run(&build(400.0 / rate), &TrafficSpec::poisson(rate, 0));
         let analytical_ms = analytical.single_inference_latency.as_seconds() * 1e3;
         let drift = (low.latency.p50_ms - analytical_ms).abs() / analytical_ms;
         prop_assert!(drift < 0.10, "low-load p50 {} vs analytical {analytical_ms}", low.latency.p50_ms);
@@ -201,7 +205,7 @@ proptest! {
 
         // Saturation: enough closed-loop clients to keep the pipeline full.
         let clients = profile.saturating_clients();
-        let sat = build(1_000.0 * profile.initiation_interval_s).run(&TrafficSpec {
+        let sat = run(&build(1_000.0 * profile.initiation_interval_s), &TrafficSpec {
             process: ArrivalProcess::ClosedLoop { clients, think_time_s: 0.0 },
             mix: ModelMix::single(0),
         });
