@@ -535,7 +535,7 @@ impl<'a, R: Recorder> Run<'a, R> {
             recorder,
             latency_keys,
             rng: StdRng::seed_from_u64(sim.config.seed),
-            events: EventQueue::with_kind(scenario.queue),
+            events: EventQueue::new(),
             chips: vec![ChipState::default(); chips],
             fleet_queued: 0,
             router: Router::new(models),

@@ -7,30 +7,56 @@
 //! never by container internals, and no wall-clock source exists anywhere in
 //! the simulator.
 //!
-//! Two backings implement the same `(time, seq)` pop order:
+//! The queue is a calendar queue (R. Brown, "Calendar queues", CACM 1988):
+//! a wheel of uniform-width time buckets plus an overflow list for events
+//! beyond the wheel's window. A pop removes the `(time, seq)` minimum of the
+//! first non-empty bucket, so bucket layout never leaks into pop order.
+//! Pushes and pops are amortized O(1) while a bucket holds O(1) events, and
+//! calibration keeps that true:
 //!
-//! * [`QueueKind::Calendar`] (the default) — a calendar queue: a wheel of
-//!   uniform-width time buckets plus an overflow list for events beyond the
-//!   wheel's window, lazily rebucketed as the event population grows,
-//!   shrinks, or marches past the window. Pushes and pops are amortized
-//!   O(1), which is what lets a run process 10^7+ requests.
-//! * [`QueueKind::Heap`] — the original binary heap, kept as the O(log n)
-//!   reference implementation; the property suite pins the calendar queue's
-//!   pop order against it.
+//! * **Width.** A rebuild sizes the buckets from the events about to be
+//!   popped: the width is (median − min) / (n/2) over the n pending times,
+//!   so a few far-future events, such as fault windows seeded at fractions
+//!   of the horizon, cannot stretch the buckets. Only when the whole span
+//!   is at most `MAX_SPAN_PER_SPREAD` times (median − min), that is, when
+//!   there are no far outliers, is the width (max − min) / n instead: that
+//!   wheel holds every pending event and drains less often.
+//! * **Triggers.** A rebuild runs when the population outgrows the wheel,
+//!   when the wheel drains while events wait in the overflow list, and when
+//!   the bucket about to be scanned holds more than `CROWDED_BUCKET` events
+//!   and at least `len()` pops have passed since the last rebuild. The last
+//!   condition keeps rebuilds amortized O(1). Every trigger depends only on
+//!   how full the queue is, never on the workload.
+//!
+//! [`EventQueue::work`] reports deterministic work counters: pops, entries
+//! scanned and rebuilds. The test suite pins the pop order against a
+//! flat-list executable spec (`crates/sim/tests/event_queue.rs`).
 
 use crate::error::SimError;
-use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
-/// Which backing data structure an [`EventQueue`] uses. Both produce the
-/// identical deterministic `(time, insertion order)` pop sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// The event queue's backing data structure: the calendar queue is the only
+/// one.
+///
+/// This enum and [`EventQueue::with_kind`] remain only because the
+/// repository benchmark's queue probe (`perfbench/src/probes.rs`) builds its
+/// queue through them; both go once that probe calls [`EventQueue::new`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueKind {
     /// Bucketed calendar wheel + overflow list; amortized O(1) per event.
     Calendar,
-    /// Binary heap; O(log n) per event. The reference implementation.
-    Heap,
+}
+
+/// Deterministic work counters of one [`EventQueue`]: what its pops cost,
+/// independent of the machine.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueueWork {
+    /// Events popped.
+    pub pops: u64,
+    /// Entries the pops' minimum scans compared: each pop scans its whole
+    /// bucket (or the overflow list, once the wheel is empty).
+    pub scanned: u64,
+    /// Wheel rebuilds, each an O(len) redistribution of every pending event.
+    pub rebuilds: u64,
 }
 
 /// One scheduled event: a payload due at a simulated time.
@@ -50,31 +76,6 @@ fn earlier<E>(a: &Entry<E>, b: &Entry<E>) -> bool {
         .is_lt()
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event pops first.
-        // Equal times pop in insertion order (FIFO) for determinism.
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 /// Smallest wheel; also the size a fresh calendar starts with.
 const MIN_BUCKETS: usize = 16;
 /// Largest wheel; beyond this the overflow list absorbs growth until the
@@ -83,16 +84,30 @@ const MAX_BUCKETS: usize = 1 << 16;
 /// A rebuild triggers when the population exceeds this many events per
 /// bucket (the classic calendar-queue resize rule).
 const GROW_FACTOR: usize = 4;
+/// A pop that finds more events than this in its bucket recalibrates the
+/// wheel, once at least `len()` pops have passed since the last rebuild.
+const CROWDED_BUCKET: usize = 32;
+/// A rebuild sizes buckets from the whole span of pending times when that
+/// span is at most this multiple of the earliest half's spread, and from
+/// the earliest half otherwise.
+const MAX_SPAN_PER_SPREAD: f64 = 4.0;
 
-/// The calendar backing: `buckets[i]` holds events in
+/// A deterministic event queue ordered by `(time, insertion order)`.
+///
+/// `buckets[i]` holds the events in
 /// `[base_s + i*width_s, base_s + (i+1)*width_s)`; events at or beyond the
 /// wheel's end wait in `overflow` until a rebuild rebases the window.
+/// Buckets are unordered; a pop selects the `(time, seq)` minimum of the
+/// first non-empty bucket, so internal `swap_remove` order never leaks into
+/// pop order and determinism holds by construction.
 ///
-/// Buckets are unordered; the pop scan selects the `(time, seq)` minimum of
-/// the first non-empty bucket, so internal `swap_remove` order never leaks
-/// into pop order and determinism holds by construction.
+/// Scheduling at a non-finite or negative time is a caller bug; the queue
+/// stays panic-free by clamping negative times to 0, dropping non-finite
+/// ones, and counting both in [`EventQueue::invalid_pushes`].
+/// [`EventQueue::try_push`] reports the same conditions as a structured
+/// [`SimError::InvalidEventTime`] instead.
 #[derive(Debug, Clone)]
-struct Calendar<E> {
+pub struct EventQueue<E> {
     buckets: Vec<Vec<Entry<E>>>,
     /// Width of one bucket, in seconds.
     width_s: f64,
@@ -105,222 +120,12 @@ struct Calendar<E> {
     in_wheel: usize,
     /// Events at or beyond the wheel window, unordered.
     overflow: Vec<Entry<E>>,
-}
-
-impl<E> Calendar<E> {
-    fn new() -> Self {
-        Self {
-            buckets: std::iter::repeat_with(Vec::new).take(MIN_BUCKETS).collect(),
-            width_s: 1.0,
-            base_s: 0.0,
-            cursor: 0,
-            in_wheel: 0,
-            overflow: Vec::new(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.in_wheel + self.overflow.len()
-    }
-
-    /// End of the wheel's window (exclusive), in seconds.
-    fn wheel_end_s(&self) -> f64 {
-        self.base_s + self.width_s * self.buckets.len() as f64
-    }
-
-    /// The bucket for a time inside the wheel window. Times at or before
-    /// `base_s` (possible after pops rebased nothing — pushes into the past
-    /// of the window start) clamp to bucket 0.
-    fn bucket_index(&self, time_s: f64) -> usize {
-        if time_s <= self.base_s {
-            return 0;
-        }
-        // time_s < wheel_end_s, so the quotient is finite and in range; the
-        // min() guards the boundary rounding.
-        (((time_s - self.base_s) / self.width_s) as usize).min(self.buckets.len() - 1)
-    }
-
-    // lint:hot calendar-wheel push: runs once per scheduled event
-    fn push(&mut self, entry: Entry<E>) {
-        if entry.time >= self.wheel_end_s() {
-            self.overflow.push(entry);
-        } else {
-            let idx = self.bucket_index(entry.time);
-            self.buckets[idx].push(entry);
-            self.in_wheel += 1;
-            if idx < self.cursor {
-                self.cursor = idx;
-            }
-        }
-        if self.len() > GROW_FACTOR * self.buckets.len() && self.buckets.len() < MAX_BUCKETS {
-            self.rebuild();
-        }
-    }
-
-    fn pop(&mut self) -> Option<Entry<E>> {
-        if self.in_wheel == 0 && !self.overflow.is_empty() {
-            // The wheel drained but future events are waiting: rebase the
-            // window around them. The width guard in rebuild() lands at
-            // least the earliest event inside the new wheel.
-            self.rebuild();
-        }
-        if self.in_wheel > 0 {
-            if let Some(entry) = self.pop_in_wheel() {
-                return Some(entry);
-            }
-            // Defensive: `in_wheel > 0` guarantees a non-empty bucket at or
-            // after the cursor, so this rescan is unreachable; restoring the
-            // cursor keeps the queue panic-free even if the invariant slips.
-            self.cursor = 0;
-            if let Some(entry) = self.pop_in_wheel() {
-                return Some(entry);
-            }
-        }
-        self.pop_overflow_min()
-    }
-
-    /// Walks the cursor to the first non-empty bucket and removes its
-    /// `(time, seq)` minimum.
-    // lint:hot calendar-wheel pop: runs once per simulated event
-    fn pop_in_wheel(&mut self) -> Option<Entry<E>> {
-        while self.cursor < self.buckets.len() {
-            if self.buckets[self.cursor].is_empty() {
-                self.cursor += 1;
-                continue;
-            }
-            let bucket = &mut self.buckets[self.cursor];
-            let mut best = 0;
-            for i in 1..bucket.len() {
-                if earlier(&bucket[i], &bucket[best]) {
-                    best = i;
-                }
-            }
-            let entry = bucket.swap_remove(best);
-            self.in_wheel -= 1;
-            return Some(entry);
-        }
-        None
-    }
-
-    /// Removes the `(time, seq)` minimum of the overflow list directly.
-    /// Only reachable when the wheel is empty (every overflow event is later
-    /// than every wheel event by construction).
-    // lint:hot overflow pop: linear min-scan on the simulator's tail events
-    fn pop_overflow_min(&mut self) -> Option<Entry<E>> {
-        if self.overflow.is_empty() {
-            return None;
-        }
-        let mut best = 0;
-        for i in 1..self.overflow.len() {
-            if earlier(&self.overflow[i], &self.overflow[best]) {
-                best = i;
-            }
-        }
-        Some(self.overflow.swap_remove(best))
-    }
-
-    /// The earliest pending time without removing it.
-    // lint:hot horizon peek: runs once per main-loop iteration
-    fn peek_time(&self) -> Option<f64> {
-        if self.in_wheel > 0 {
-            for bucket in self.buckets.iter().skip(self.cursor) {
-                let Some(first) = bucket.first() else {
-                    continue;
-                };
-                let mut best = first.time;
-                for entry in &bucket[1..] {
-                    if entry.time.total_cmp(&best).is_lt() {
-                        best = entry.time;
-                    }
-                }
-                return Some(best);
-            }
-        }
-        let mut best: Option<f64> = None;
-        for entry in &self.overflow {
-            best = Some(match best {
-                Some(b) if b.total_cmp(&entry.time).is_le() => b,
-                _ => entry.time,
-            });
-        }
-        best
-    }
-
-    /// Collects every pending event and redistributes it over a wheel sized
-    /// to the current population: ~one event per bucket across the observed
-    /// time span, rebased so the earliest event defines bucket 0. Amortized
-    /// O(1) per event: a rebuild costs O(n) and is triggered either by the
-    /// population growing past `GROW_FACTOR * buckets` or by draining a
-    /// whole wheel of ~n events.
-    fn rebuild(&mut self) {
-        let mut entries: Vec<Entry<E>> = Vec::with_capacity(self.len());
-        for bucket in &mut self.buckets {
-            entries.append(bucket);
-        }
-        entries.append(&mut self.overflow);
-        self.in_wheel = 0;
-        self.cursor = 0;
-        let n = entries.len();
-        if n == 0 {
-            return;
-        }
-        let mut min_t = f64::INFINITY;
-        let mut max_t = f64::NEG_INFINITY;
-        for entry in &entries {
-            min_t = min_t.min(entry.time);
-            max_t = max_t.max(entry.time);
-        }
-        let target = n.next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);
-        if self.buckets.len() != target {
-            // Shrinking drops only empty Vecs (everything was drained above).
-            self.buckets.resize_with(target, Vec::new);
-        }
-        let span = max_t - min_t;
-        let mut width = if span > 0.0 && span.is_finite() {
-            span / n as f64
-        } else {
-            // Degenerate span (all events at one instant): keep the old
-            // width, which the floor below makes positive.
-            self.width_s
-        };
-        // Floor the width so `base_s + width_s * buckets > base_s` holds in
-        // floating point: the earliest event must land inside the wheel,
-        // which is what makes pop() after a drain terminate.
-        let ulp_floor = (min_t.abs() + 1.0) * f64::EPSILON;
-        if !(width > ulp_floor && width.is_finite()) {
-            width = ulp_floor.max(1.0 * f64::EPSILON);
-        }
-        self.width_s = width;
-        self.base_s = min_t;
-        for entry in entries {
-            if entry.time >= self.wheel_end_s() {
-                self.overflow.push(entry);
-            } else {
-                let idx = self.bucket_index(entry.time);
-                self.buckets[idx].push(entry);
-                self.in_wheel += 1;
-            }
-        }
-    }
-}
-
-/// The two interchangeable backings.
-#[derive(Debug, Clone)]
-enum Backing<E> {
-    Heap(BinaryHeap<Entry<E>>),
-    Calendar(Calendar<E>),
-}
-
-/// A deterministic event queue ordered by `(time, insertion order)`.
-///
-/// Scheduling at a non-finite or negative time is a caller bug; the queue
-/// stays panic-free by clamping negative times to 0, dropping non-finite
-/// ones, and counting both in [`EventQueue::invalid_pushes`].
-/// [`EventQueue::try_push`] reports the same conditions as a structured
-/// [`SimError::InvalidEventTime`] instead.
-#[derive(Debug, Clone)]
-pub struct EventQueue<E> {
-    backing: Backing<E>,
+    /// Scratch for the pending times a rebuild calibrates from.
+    times: Vec<f64>,
+    /// `work.pops` at the last rebuild; a crowded bucket recalibrates only
+    /// once `len()` more pops have passed.
+    rebuilt_at_pop: u64,
+    work: QueueWork,
     seq: u64,
     invalid: u64,
 }
@@ -332,30 +137,28 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue with the default [`QueueKind::Calendar`]
-    /// backing.
+    /// Creates an empty queue.
     pub fn new() -> Self {
-        Self::with_kind(QueueKind::Calendar)
-    }
-
-    /// Creates an empty queue with an explicit backing.
-    pub fn with_kind(kind: QueueKind) -> Self {
-        let backing = match kind {
-            QueueKind::Calendar => Backing::Calendar(Calendar::new()),
-            QueueKind::Heap => Backing::Heap(BinaryHeap::new()),
-        };
         Self {
-            backing,
+            buckets: std::iter::repeat_with(Vec::new).take(MIN_BUCKETS).collect(),
+            width_s: 1.0,
+            base_s: 0.0,
+            cursor: 0,
+            in_wheel: 0,
+            overflow: Vec::new(),
+            times: Vec::new(),
+            rebuilt_at_pop: 0,
+            work: QueueWork::default(),
             seq: 0,
             invalid: 0,
         }
     }
 
-    /// Which backing this queue uses.
-    pub fn kind(&self) -> QueueKind {
-        match self.backing {
-            Backing::Heap(_) => QueueKind::Heap,
-            Backing::Calendar(_) => QueueKind::Calendar,
+    /// Creates an empty queue with an explicit backing; the same as
+    /// [`EventQueue::new`]. Goes together with [`QueueKind`].
+    pub fn with_kind(kind: QueueKind) -> Self {
+        match kind {
+            QueueKind::Calendar => Self::new(),
         }
     }
 
@@ -389,43 +192,57 @@ impl<E> EventQueue<E> {
         Ok(())
     }
 
+    // lint:hot calendar-wheel push: runs once per scheduled event
     fn push_valid(&mut self, time_s: f64, event: E) {
-        let seq = self.seq;
-        self.seq += 1;
         let entry = Entry {
             time: time_s,
-            seq,
+            seq: self.seq,
             event,
         };
-        match &mut self.backing {
-            Backing::Heap(heap) => heap.push(entry),
-            Backing::Calendar(calendar) => calendar.push(entry),
+        self.seq += 1;
+        if time_s >= self.wheel_end_s() {
+            self.overflow.push(entry);
+        } else {
+            let idx = self.bucket_index(time_s);
+            self.buckets[idx].push(entry);
+            self.in_wheel += 1;
+            if idx < self.cursor {
+                self.cursor = idx;
+            }
+        }
+        if self.len() > GROW_FACTOR * self.buckets.len() && self.buckets.len() < MAX_BUCKETS {
+            self.rebuild();
         }
     }
 
     /// Removes and returns the earliest event as `(time, event)`.
     pub fn pop(&mut self) -> Option<(f64, E)> {
-        match &mut self.backing {
-            Backing::Heap(heap) => heap.pop(),
-            Backing::Calendar(calendar) => calendar.pop(),
+        if self.in_wheel == 0 && !self.overflow.is_empty() {
+            // The wheel drained but future events are waiting: rebase the
+            // window around them. The width guard in rebuild() lands at
+            // least the earliest event inside the new wheel.
+            self.rebuild();
         }
-        .map(|entry| (entry.time, entry.event))
-    }
-
-    /// The time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<f64> {
-        match &self.backing {
-            Backing::Heap(heap) => heap.peek().map(|entry| entry.time),
-            Backing::Calendar(calendar) => calendar.peek_time(),
+        let mut entry = None;
+        if self.in_wheel > 0 {
+            entry = self.pop_in_wheel();
+            if entry.is_none() {
+                // Defensive: `in_wheel > 0` guarantees a non-empty bucket at
+                // or after the cursor, so this rescan is unreachable;
+                // restoring the cursor keeps the queue panic-free even if
+                // the invariant slips.
+                self.cursor = 0;
+                entry = self.pop_in_wheel();
+            }
         }
+        let entry = entry.or_else(|| self.pop_overflow_min())?;
+        self.work.pops += 1;
+        Some((entry.time, entry.event))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backing {
-            Backing::Heap(heap) => heap.len(),
-            Backing::Calendar(calendar) => calendar.len(),
-        }
+        self.in_wheel + self.overflow.len()
     }
 
     /// Whether no events are pending.
@@ -439,96 +256,227 @@ impl<E> EventQueue<E> {
     pub fn invalid_pushes(&self) -> u64 {
         self.invalid
     }
+
+    /// The queue's work counters so far.
+    pub fn work(&self) -> QueueWork {
+        self.work
+    }
+
+    /// End of the wheel's window (exclusive), in seconds.
+    fn wheel_end_s(&self) -> f64 {
+        self.base_s + self.width_s * self.buckets.len() as f64
+    }
+
+    /// The bucket for a time inside the wheel window. Times at or before
+    /// `base_s` (pushes into the past of the window start) clamp to
+    /// bucket 0.
+    fn bucket_index(&self, time_s: f64) -> usize {
+        if time_s <= self.base_s {
+            return 0;
+        }
+        // time_s < wheel_end_s, so the quotient is finite and in range; the
+        // min() guards the boundary rounding.
+        (((time_s - self.base_s) / self.width_s) as usize).min(self.buckets.len() - 1)
+    }
+
+    /// Walks the cursor to the first non-empty bucket and removes its
+    /// `(time, seq)` minimum, first recalibrating the wheel if that bucket
+    /// is crowded.
+    // lint:hot calendar-wheel pop: runs once per simulated event
+    fn pop_in_wheel(&mut self) -> Option<Entry<E>> {
+        while self.cursor < self.buckets.len() {
+            let len = self.buckets[self.cursor].len();
+            if len == 0 {
+                self.cursor += 1;
+                continue;
+            }
+            if len > CROWDED_BUCKET && self.work.pops - self.rebuilt_at_pop >= self.len() as u64 {
+                // The buckets no longer match the near-term event density.
+                // The rebuild leaves the earliest event in the wheel and the
+                // cursor at 0, so the walk restarts on the fresh wheel.
+                self.rebuild();
+                continue;
+            }
+            let bucket = &mut self.buckets[self.cursor];
+            let mut best = 0;
+            for i in 1..bucket.len() {
+                if earlier(&bucket[i], &bucket[best]) {
+                    best = i;
+                }
+            }
+            self.work.scanned += len as u64;
+            self.in_wheel -= 1;
+            return Some(bucket.swap_remove(best));
+        }
+        None
+    }
+
+    /// Removes the `(time, seq)` minimum of the overflow list directly.
+    /// Only reachable when the wheel is empty (every overflow event is later
+    /// than every wheel event by construction).
+    // lint:hot overflow pop: linear min-scan on the simulator's tail events
+    fn pop_overflow_min(&mut self) -> Option<Entry<E>> {
+        if self.overflow.is_empty() {
+            return None;
+        }
+        let mut best = 0;
+        for i in 1..self.overflow.len() {
+            if earlier(&self.overflow[i], &self.overflow[best]) {
+                best = i;
+            }
+        }
+        self.work.scanned += self.overflow.len() as u64;
+        Some(self.overflow.swap_remove(best))
+    }
+
+    /// Collects every pending event and redistributes it over a wheel sized
+    /// to the current population, rebased so the earliest event defines
+    /// bucket 0. The width gives about one event per bucket: at the density
+    /// of the earliest half when far outliers stretch the span, and across
+    /// the whole span otherwise. Events past the wheel's window stay in the
+    /// overflow list.
+    fn rebuild(&mut self) {
+        self.work.rebuilds += 1;
+        self.rebuilt_at_pop = self.work.pops;
+        // After a drain the buckets are already empty.
+        if self.in_wheel > 0 {
+            for bucket in &mut self.buckets {
+                self.overflow.append(bucket);
+            }
+            self.in_wheel = 0;
+        }
+        self.cursor = 0;
+        let n = self.overflow.len();
+        if n == 0 {
+            return;
+        }
+        self.times.clear();
+        self.times
+            .extend(self.overflow.iter().map(|entry| entry.time));
+        let half = n / 2;
+        let (earliest, median_t, _) = self.times.select_nth_unstable_by(half, f64::total_cmp);
+        let median_t = *median_t;
+        let min_t = earliest.iter().fold(median_t, |min_t, &t| min_t.min(t));
+        let target = n.next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);
+        if self.buckets.len() != target {
+            // Shrinking drops only empty Vecs (everything was drained above).
+            self.buckets.resize_with(target, Vec::new);
+        }
+        let spread = median_t - min_t;
+        let max_t = self.times[half..]
+            .iter()
+            .fold(median_t, |max_t, &t| max_t.max(t));
+        let span = max_t - min_t;
+        let mut width = if spread > 0.0 && spread.is_finite() {
+            if span <= MAX_SPAN_PER_SPREAD * spread {
+                // No far outliers: a wheel sized to the whole span holds
+                // every pending event and drains less often, at worst at
+                // half the earliest half's density.
+                span / n as f64
+            } else {
+                spread / half as f64
+            }
+        } else {
+            // Degenerate spread (the earliest half at one instant): keep the
+            // old width, which the floor below makes positive.
+            self.width_s
+        };
+        // Floor the width so `base_s + width_s * buckets > base_s` holds in
+        // floating point: the earliest event must land inside the wheel,
+        // which is what makes pop() after a drain terminate.
+        let ulp_floor = (min_t.abs() + 1.0) * f64::EPSILON;
+        if !(width > ulp_floor && width.is_finite()) {
+            width = ulp_floor.max(1.0 * f64::EPSILON);
+        }
+        self.width_s = width;
+        self.base_s = min_t;
+        let wheel_end_s = self.wheel_end_s();
+        let mut i = 0;
+        while i < self.overflow.len() {
+            if self.overflow[i].time < wheel_end_s {
+                let entry = self.overflow.swap_remove(i);
+                let idx = self.bucket_index(entry.time);
+                self.buckets[idx].push(entry);
+                self.in_wheel += 1;
+            } else {
+                i += 1;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn both_kinds() -> [EventQueue<i32>; 2] {
-        [
-            EventQueue::with_kind(QueueKind::Calendar),
-            EventQueue::with_kind(QueueKind::Heap),
-        ]
-    }
-
     #[test]
     fn events_pop_in_time_order() {
-        for mut q in [
-            EventQueue::with_kind(QueueKind::Calendar),
-            EventQueue::with_kind(QueueKind::Heap),
-        ] {
-            q.push(3.0, "c");
-            q.push(1.0, "a");
-            q.push(2.0, "b");
-            assert_eq!(q.peek_time(), Some(1.0));
-            assert_eq!(q.pop(), Some((1.0, "a")));
-            assert_eq!(q.pop(), Some((2.0, "b")));
-            assert_eq!(q.pop(), Some((3.0, "c")));
-            assert_eq!(q.pop(), None);
-        }
+        let mut q = EventQueue::new();
+        q.push(3.0, "c");
+        q.push(1.0, "a");
+        q.push(2.0, "b");
+        assert_eq!(q.pop(), Some((1.0, "a")));
+        assert_eq!(q.pop(), Some((2.0, "b")));
+        assert_eq!(q.pop(), Some((3.0, "c")));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
-        for mut q in both_kinds() {
-            for i in 0..16 {
-                q.push(1.0, i);
-            }
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, (0..16).collect::<Vec<_>>());
+        let mut q: EventQueue<i32> = EventQueue::new();
+        for i in 0..16 {
+            q.push(1.0, i);
         }
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, (0..16).collect::<Vec<_>>());
     }
 
     #[test]
     fn len_and_is_empty_track_contents() {
-        for mut q in both_kinds() {
-            assert!(q.is_empty());
-            q.push(0.0, 0);
-            q.push(0.5, 1);
-            assert_eq!(q.len(), 2);
-            q.pop();
-            q.pop();
-            assert!(q.is_empty());
-        }
+        let mut q: EventQueue<i32> = EventQueue::new();
+        assert!(q.is_empty());
+        q.push(0.0, 0);
+        q.push(0.5, 1);
+        assert_eq!(q.len(), 2);
+        q.pop();
+        q.pop();
+        assert!(q.is_empty());
     }
 
     #[test]
     fn invalid_times_are_counted_not_panicked() {
-        for mut q in both_kinds() {
-            // NaN and infinities drop the event.
-            q.push(f64::NAN, 0);
-            q.push(f64::INFINITY, 1);
-            q.push(f64::NEG_INFINITY, 2);
-            assert_eq!(q.len(), 0);
-            assert_eq!(q.invalid_pushes(), 3);
-            // A negative finite time clamps to zero but still schedules.
-            q.push(-1.0, 3);
-            assert_eq!(q.invalid_pushes(), 4);
-            assert_eq!(q.pop(), Some((0.0, 3)));
-        }
+        let mut q: EventQueue<i32> = EventQueue::new();
+        // NaN and infinities drop the event.
+        q.push(f64::NAN, 0);
+        q.push(f64::INFINITY, 1);
+        q.push(f64::NEG_INFINITY, 2);
+        assert_eq!(q.len(), 0);
+        assert_eq!(q.invalid_pushes(), 3);
+        // A negative finite time clamps to zero but still schedules.
+        q.push(-1.0, 3);
+        assert_eq!(q.invalid_pushes(), 4);
+        assert_eq!(q.pop(), Some((0.0, 3)));
     }
 
     #[test]
     fn try_push_rejects_invalid_times_structurally() {
-        for mut q in both_kinds() {
-            assert!(matches!(
-                q.try_push(f64::NAN, 0),
-                Err(SimError::InvalidEventTime { .. })
-            ));
-            assert!(matches!(
-                q.try_push(-0.25, 0),
-                Err(SimError::InvalidEventTime { time_s }) if time_s < 0.0
-            ));
-            assert_eq!(q.invalid_pushes(), 0, "try_push counts nothing");
-            assert!(q.try_push(0.25, 7).is_ok());
-            assert_eq!(q.pop(), Some((0.25, 7)));
-        }
+        let mut q: EventQueue<i32> = EventQueue::new();
+        assert!(matches!(
+            q.try_push(f64::NAN, 0),
+            Err(SimError::InvalidEventTime { .. })
+        ));
+        assert!(matches!(
+            q.try_push(-0.25, 0),
+            Err(SimError::InvalidEventTime { time_s }) if time_s < 0.0
+        ));
+        assert_eq!(q.invalid_pushes(), 0, "try_push counts nothing");
+        assert!(q.try_push(0.25, 7).is_ok());
+        assert_eq!(q.pop(), Some((0.25, 7)));
     }
 
     #[test]
     fn far_future_events_survive_the_overflow_list() {
-        let mut q = EventQueue::with_kind(QueueKind::Calendar);
+        let mut q = EventQueue::new();
         q.push(1e9, 1); // far beyond the initial 16 s wheel window
         q.push(0.5, 0);
         q.push(2e9, 2);
@@ -540,7 +488,7 @@ mod tests {
 
     #[test]
     fn growth_rebuilds_keep_sorted_order() {
-        let mut q = EventQueue::with_kind(QueueKind::Calendar);
+        let mut q = EventQueue::new();
         // A deterministic scramble big enough to force several rebuilds.
         let times: Vec<f64> = (0..10_000u64)
             .map(|i| ((i * 7919) % 10_000) as f64 * 1e-3)
@@ -560,7 +508,7 @@ mod tests {
 
     #[test]
     fn all_equal_times_drain_in_fifo_order_across_rebuilds() {
-        let mut q = EventQueue::with_kind(QueueKind::Calendar);
+        let mut q = EventQueue::new();
         for i in 0..200 {
             q.push(5.0, i);
         }

@@ -11,8 +11,8 @@
 //!
 //! * [`event`] — the deterministic event-queue core: an amortized-O(1)
 //!   calendar queue (bucketed wheel + overflow list, FIFO tie-breaking, no
-//!   wall clock anywhere), with the original binary heap kept as a
-//!   reference backing ([`QueueKind`]);
+//!   wall clock anywhere) whose buckets are calibrated to the events it
+//!   pops next, with deterministic work counters ([`QueueWork`]);
 //! * [`traffic`] — arrival processes (open-loop Poisson, bursty
 //!   Markov-modulated, closed-loop clients) and weighted model-zoo mixes;
 //! * [`scheduler`] — dispatch policies (FIFO, batching windows,
@@ -82,7 +82,7 @@ pub mod traffic;
 
 pub use engine::{serving_check, ModelProfile, ServingSimulator, SimConfig};
 pub use error::SimError;
-pub use event::{EventQueue, QueueKind};
+pub use event::{EventQueue, QueueKind, QueueWork};
 pub use faults::{Fault, FaultKind, Scenario, StatsMode};
 pub use scheduler::{FleetLayout, Policy, Sharding};
 pub use stats::{ChipStats, LatencyStats, ModelStats, SimReport};

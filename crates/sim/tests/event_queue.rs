@@ -1,16 +1,20 @@
-//! Property tests pinning the calendar queue to the binary-heap reference.
+//! Property tests pinning the calendar queue to a flat-list executable spec,
+//! plus a work-counter regression test for its calibration.
 //!
-//! The calendar queue is only allowed to exist because it is
-//! *indistinguishable* from the heap it replaced: for any interleaving of
-//! pushes and pops, both backings must pop the same events in the same
-//! `(time, insertion)` order, bit for bit. Times are drawn from a coarse
-//! grid so same-time FIFO ties are common, and a slice of events lands far
-//! in the future to exercise the overflow list and lazy rebuilds.
+//! The calendar queue must be *indistinguishable* from the simplest correct
+//! priority queue: for any interleaving of pushes and pops it pops the same
+//! events in the same `(time, insertion)` order, bit for bit, as a flat
+//! list that pops the first element with the minimal time. Two generators
+//! drive it. One draws times from a coarse grid, so same-time FIFO ties are
+//! common, and sends a slice of events far into the future to exercise the
+//! overflow list and drain rebuilds. The other changes the event density
+//! under the queue's feet, so a bucket crowds after its calibration and the
+//! pop-triggered rebuild runs.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use timely_sim::{EventQueue, QueueKind};
+use timely_sim::EventQueue;
 
 /// One step of a queue workload.
 #[derive(Debug, Clone, Copy)]
@@ -38,11 +42,37 @@ fn workload(seed: u64, len: usize) -> Vec<Op> {
         .collect()
 }
 
-/// Replays `ops` against a queue of the given backing; events carry their
-/// push index so FIFO tie-breaks are observable. Returns every popped
+/// A seeded workload whose density changes after calibration: a sparse
+/// spread of events over tens of seconds, then a dense cluster of
+/// microsecond-spaced (and often tied) times inside that spread,
+/// interleaved with pops. The cluster crowds one bucket of a wheel sized
+/// for the spread.
+fn clustered(seed: u64, len: usize) -> Vec<Op> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let spread = rng.gen_range(20usize..80).min(len);
+    let center_s = f64::from(rng.gen_range(0u32..64));
+    let mut ops: Vec<Op> = (0..spread)
+        .map(|_| Op::Push {
+            time_s: f64::from(rng.gen_range(0u32..256)) * 0.25,
+        })
+        .collect();
+    while ops.len() < len {
+        ops.push(if rng.gen_range(0u32..2) == 0 {
+            Op::Pop
+        } else {
+            Op::Push {
+                time_s: center_s + f64::from(rng.gen_range(0u32..16)) * 1e-6,
+            }
+        });
+    }
+    ops
+}
+
+/// Replays `ops` against an [`EventQueue`]; events carry their push index
+/// so FIFO tie-breaks are observable. Returns every popped
 /// `(time bits, push index)` in pop order, including the final drain.
-fn replay(kind: QueueKind, ops: &[Op]) -> Vec<(u64, usize)> {
-    let mut queue: EventQueue<usize> = EventQueue::with_kind(kind);
+fn replay(ops: &[Op]) -> Vec<(u64, usize)> {
+    let mut queue: EventQueue<usize> = EventQueue::new();
     let mut popped = Vec::new();
     for (index, op) in ops.iter().enumerate() {
         match *op {
@@ -93,19 +123,18 @@ fn replay_model(ops: &[Op]) -> Vec<(u64, usize)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Calendar and heap backings pop identical `(time, seq)` sequences —
-    /// including same-time FIFO ties and overflow-list round trips — and
-    /// both match the flat-list executable spec.
+    /// The calendar queue pops exactly the flat-list spec's `(time, seq)`
+    /// sequence, including same-time FIFO ties, overflow-list round trips
+    /// and rebuilds triggered by a crowded bucket.
     #[test]
-    fn calendar_and_heap_pop_identically(
+    fn calendar_pops_like_the_flat_list_spec(
         seed in 0u64..1_000_000,
         len in 1usize..=300,
     ) {
         let ops = workload(seed, len);
-        let calendar = replay(QueueKind::Calendar, &ops);
-        let heap = replay(QueueKind::Heap, &ops);
-        prop_assert_eq!(&calendar, &heap);
-        prop_assert_eq!(&calendar, &replay_model(&ops));
+        prop_assert_eq!(replay(&ops), replay_model(&ops));
+        let ops = clustered(seed, 2 * len);
+        prop_assert_eq!(replay(&ops), replay_model(&ops));
     }
 
     /// Draining a push-only workload yields non-decreasing times with
@@ -113,7 +142,7 @@ proptest! {
     /// the *global* sequence need not be sorted — an early pop can take
     /// t=5 before a later push adds t=1 — which is why this property
     /// drains pushes only; the interleaved case is pinned against the
-    /// heap and the flat-list spec above.)
+    /// flat-list spec above.)
     #[test]
     fn draining_pushes_is_time_sorted_and_fifo_within_ties(
         seed in 0u64..1_000_000,
@@ -123,7 +152,7 @@ proptest! {
             .into_iter()
             .filter(|op| matches!(op, Op::Push { .. }))
             .collect();
-        let popped = replay(QueueKind::Calendar, &pushes);
+        let popped = replay(&pushes);
         for pair in popped.windows(2) {
             let (t0, id0) = pair[0];
             let (t1, id1) = pair[1];
@@ -133,4 +162,50 @@ proptest! {
             }
         }
     }
+}
+
+/// The `serve-burst` shape: four fault-window events seeded at 30–70% of a
+/// 0.1 s horizon, then a hold model of ~100 rolling events about a
+/// microsecond apart. Sizing buckets from the whole population's span made
+/// them ~1 ms wide, so every rolling event shared one bucket and each pop
+/// scanned ~100 entries. Calibrated to the events popped next, a pop scans
+/// a few entries and rebuilds stay amortized O(1).
+#[test]
+fn far_future_events_do_not_stretch_the_buckets() {
+    const HORIZON_S: f64 = 0.1;
+    const ROLLING: u32 = 100;
+    const MEAN_HOLD_S: f64 = 100e-6;
+    const POPS: u64 = 200_000;
+    let mut rng = StdRng::seed_from_u64(0x5eed);
+    let mut queue: EventQueue<bool> = EventQueue::new();
+    for fraction in [0.3, 0.45, 0.55, 0.7] {
+        queue.push(fraction * HORIZON_S, false);
+    }
+    for i in 0..ROLLING {
+        queue.push(f64::from(i) * 1e-6, true);
+    }
+    let mut peak_len = queue.len();
+    for _ in 0..POPS {
+        let Some((time_s, rolling)) = queue.pop() else {
+            break;
+        };
+        if rolling {
+            queue.push(time_s + rng.gen_range(0.0..2.0 * MEAN_HOLD_S), true);
+        }
+        peak_len = peak_len.max(queue.len());
+    }
+    let work = queue.work();
+    assert_eq!(work.pops, POPS);
+    assert!(
+        work.scanned <= 4 * work.pops,
+        "{} entries scanned over {} pops",
+        work.scanned,
+        work.pops
+    );
+    assert!(
+        work.rebuilds * peak_len as u64 <= 4 * work.pops,
+        "{} rebuilds of up to {peak_len} events over {} pops",
+        work.rebuilds,
+        work.pops
+    );
 }

@@ -6,8 +6,8 @@ use timely_core::TimelyConfig;
 use timely_nn::zoo;
 use timely_obs::{NoopRecorder, TraceRecorder};
 use timely_sim::{
-    ArrivalProcess, Fault, ModelMix, Policy, QueueKind, Scenario, ServingSimulator, Sharding,
-    SimConfig, SimError, SimReport, StatsMode, TrafficSpec,
+    ArrivalProcess, Fault, ModelMix, Policy, Scenario, ServingSimulator, Sharding, SimConfig,
+    SimError, SimReport, StatsMode, TrafficSpec,
 };
 
 /// A two-model, multi-chip replicated fleet on the paper-default chip.
@@ -80,19 +80,6 @@ fn a_default_scenario_is_exactly_a_plain_run() {
         scenario.outages + scenario.stragglers + scenario.recoveries,
         0
     );
-}
-
-#[test]
-fn the_heap_backing_reproduces_the_calendar_run() {
-    let sim = fleet(3, Policy::ShortestQueue);
-    let spec = traffic(&sim, 0.9);
-    let mut calendar = faulty_scenario();
-    calendar.queue = QueueKind::Calendar;
-    let mut heap = faulty_scenario();
-    heap.queue = QueueKind::Heap;
-    let a = run(&sim, &spec, &calendar).expect("calendar run");
-    let b = run(&sim, &spec, &heap).expect("heap run");
-    assert_eq!(a, b, "queue backing must be observationally invisible");
 }
 
 #[test]
@@ -221,49 +208,43 @@ fn streaming_stats_agree_with_exact_within_a_bucket() {
 }
 
 #[test]
-fn stale_batch_deadlines_are_no_ops_under_both_queue_backings() {
-    for queue in [QueueKind::Calendar, QueueKind::Heap] {
-        // Run A: a window comfortably longer than any interarrival gap at
-        // 3x overload, so every batch flushes on size and its deadline
-        // fires later as a stale no-op.
-        // Run B: a window longer than the horizon, so no deadline ever
-        // fires. Both runs push one deadline event per opened batch, so
-        // event sequence numbers line up and the reports must be equal —
-        // which they are only if stale deadlines really are no-ops.
-        let sim = fleet(
-            2,
-            Policy::Batched {
-                window_s: 0.005,
-                max_batch: 2,
-            },
-        );
-        let spec = traffic(&sim, 3.0);
-        let scenario_a = Scenario {
-            queue,
-            ..Scenario::default()
-        };
-        let a = run(&sim, &spec, &scenario_a).expect("short-window run");
+fn stale_batch_deadlines_are_no_ops() {
+    // Run A: a window comfortably longer than any interarrival gap at
+    // 3x overload, so every batch flushes on size and its deadline
+    // fires later as a stale no-op.
+    // Run B: a window longer than the horizon, so no deadline ever
+    // fires. Both runs push one deadline event per opened batch, so
+    // event sequence numbers line up and the reports must be equal —
+    // which they are only if stale deadlines really are no-ops.
+    let sim = fleet(
+        2,
+        Policy::Batched {
+            window_s: 0.005,
+            max_batch: 2,
+        },
+    );
+    let spec = traffic(&sim, 3.0);
+    let a = run(&sim, &spec, &Scenario::default()).expect("short-window run");
 
-        let sim_b = fleet(
-            2,
-            Policy::Batched {
-                window_s: 1.0,
-                max_batch: 2,
-            },
-        );
-        let b = run(&sim_b, &spec, &scenario_a).expect("long-window run");
-        // The time-weighted queue-depth integral is split into different
-        // summation chunks by the extra (no-op) deadline events, so it can
-        // drift by a few ulps; every other field must match exactly.
-        let depth_a = a.mean_queue_depth;
-        let depth_b = b.mean_queue_depth;
-        assert!((depth_a - depth_b).abs() <= 1e-9 * depth_a.abs().max(1.0));
-        let mut a = a;
-        let mut b = b;
-        a.mean_queue_depth = 0.0;
-        b.mean_queue_depth = 0.0;
-        assert_eq!(a, b, "stale deadlines must not change the run ({queue:?})");
-    }
+    let sim_b = fleet(
+        2,
+        Policy::Batched {
+            window_s: 1.0,
+            max_batch: 2,
+        },
+    );
+    let b = run(&sim_b, &spec, &Scenario::default()).expect("long-window run");
+    // The time-weighted queue-depth integral is split into different
+    // summation chunks by the extra (no-op) deadline events, so it can
+    // drift by a few ulps; every other field must match exactly.
+    let depth_a = a.mean_queue_depth;
+    let depth_b = b.mean_queue_depth;
+    assert!((depth_a - depth_b).abs() <= 1e-9 * depth_a.abs().max(1.0));
+    let mut a = a;
+    let mut b = b;
+    a.mean_queue_depth = 0.0;
+    b.mean_queue_depth = 0.0;
+    assert_eq!(a, b, "stale deadlines must not change the run");
 }
 
 #[test]
@@ -352,7 +333,6 @@ fn large_shortest_queue_fleets_match_pinned_reports() {
                 ],
                 admission_cap: Some(2),
                 stats,
-                ..Scenario::default()
             };
             let report = run(&sim, &spec, &scenario).expect("valid scenario");
             let at = format!("load {} {stats:?}", pin.load);
