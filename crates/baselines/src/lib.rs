@@ -17,11 +17,10 @@
 //! * [`prime_alb`] — PRIME with TIMELY's ALB + O2IR principles applied to its
 //!   FF subarrays (the generalization study of Fig. 11).
 //!
-//! All models implement the workspace-wide
-//! [`Backend`](timely_core::Backend) trait, so the serving simulator, the
-//! design-space explorer, and the bench harness sweep them uniformly;
-//! [`registry`] returns every registered backend (TIMELY included) as one
-//! `Vec<Box<dyn Backend>>`.
+//! All models implement the workspace-wide [`Backend`] trait, so the serving
+//! simulator, the design-space explorer, and the bench harness sweep them
+//! uniformly; [`registry`] returns every registered backend (TIMELY
+//! included) as one `Vec<Box<dyn Backend>>`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -16,10 +16,11 @@
 //! * `--metrics <path>` writes the `dse.screen.*` / `dse.eval.*` counters as
 //!   a sorted text report.
 //!
-//! Unknown, repeated or value-less flags exit with code 2 and a usage line.
+//! Unknown, repeated or value-less flags exit with code 2 and a usage line;
+//! an unwritable `--trace` or `--metrics` path exits with code 1.
 
 use timely_baselines::baseline_registry;
-use timely_bench::cli::FlagSpec;
+use timely_bench::cli::{write_or_exit, FlagSpec};
 use timely_bench::table::Table;
 use timely_core::{Features, TimelyConfig};
 use timely_dse::{
@@ -263,12 +264,12 @@ fn export_telemetry(
             trace.events.len(),
             "trace round-trip preserves every event"
         );
-        std::fs::write(path, &json).expect("trace file is writable");
+        write_or_exit(path, &json);
         eprintln!("wrote trace: {path} ({} events)", trace.events.len());
     }
     if let Some(path) = metrics_path {
         let text = recorder.metrics().render_text();
-        std::fs::write(path, &text).expect("metrics file is writable");
+        write_or_exit(path, &text);
         eprintln!("wrote metrics: {path} ({} lines)", text.lines().count());
     }
 }

@@ -17,11 +17,12 @@
 //!   tables (and nothing else): fault injection, admission-control
 //!   shedding, and the exact-vs-streaming statistics cross-check.
 //!
-//! Unknown, repeated or value-less flags exit with code 2 and a usage line.
+//! Unknown, repeated or value-less flags exit with code 2 and a usage line;
+//! an unwritable `--trace` or `--metrics` path exits with code 1.
 
 use timely_baselines::IsaacModel;
 use timely_bench::artifacts::{ServingStudyArtifact, ServingSweepRecord};
-use timely_bench::cli::FlagSpec;
+use timely_bench::cli::{write_or_exit, FlagSpec};
 use timely_bench::table::{format_percent, Table};
 use timely_core::{Backend, TimelyAccelerator, TimelyConfig};
 use timely_nn::zoo;
@@ -194,12 +195,12 @@ fn traced_export(
             trace.events.len(),
             "trace round-trip preserves every event"
         );
-        std::fs::write(path, &json).expect("trace file is writable");
+        write_or_exit(path, &json);
         eprintln!("wrote trace: {path} ({} events)", trace.events.len());
     }
     if let Some(path) = metrics_path {
         let text = recorder.metrics().render_text();
-        std::fs::write(path, &text).expect("metrics file is writable");
+        write_or_exit(path, &text);
         eprintln!("wrote metrics: {path} ({} lines)", text.lines().count());
     }
 }

@@ -4,7 +4,8 @@
 //! and a flag that takes a value must be followed by one. Anything else is
 //! an error reported with the binary's usage line and exit code 2 — a typo
 //! like `--smok` never silently runs a different study than the one asked
-//! for.
+//! for. An output file named on the command line that cannot be written is
+//! an error with exit code 1 ([`write_or_exit`]).
 
 use std::fmt;
 
@@ -100,6 +101,16 @@ impl FlagSpec {
             eprintln!("error: {err}\n{}", self.usage);
             std::process::exit(2);
         })
+    }
+}
+
+/// Writes `contents` to the output file `path`; if the write fails, prints
+/// `error: cannot write <path>: <io error>` to standard error and exits
+/// with code 1.
+pub fn write_or_exit(path: &str, contents: &str) {
+    if let Err(err) = std::fs::write(path, contents) {
+        eprintln!("error: cannot write {path}: {err}");
+        std::process::exit(1);
     }
 }
 

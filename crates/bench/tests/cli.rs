@@ -1,6 +1,7 @@
 //! Every binary rejects a malformed command line before doing any work:
 //! exit code 2 and a usage line on standard error, never a silent fallback
-//! to a different run.
+//! to a different run. An output path the study cannot write is exit code 1
+//! with the path on standard error, never a panic.
 
 use std::process::Command;
 
@@ -25,6 +26,29 @@ fn study_binaries_reject_bad_flags() {
         rejects(exe, &["--trace", "--smoke"]);
         rejects(exe, &["--smoke", "--metrics"]);
         rejects(exe, &["--trace", "a.json", "--trace", "b.json"]);
+    }
+}
+
+#[test]
+fn study_binaries_report_an_unwritable_output_path() {
+    // A regular file is never a directory, so this path is unwritable on
+    // every machine.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/out.txt");
+    for (exe, flag) in [
+        (env!("CARGO_BIN_EXE_serving_study"), "--trace"),
+        (env!("CARGO_BIN_EXE_dse_study"), "--metrics"),
+    ] {
+        let out = Command::new(exe)
+            .args(["--smoke", flag, path])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{exe} {flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("error: cannot write {path}")),
+            "{exe} {flag}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{exe} {flag}: {stderr}");
     }
 }
 

@@ -23,13 +23,11 @@
 use crate::area::AreaBreakdown;
 use crate::energy::EnergyBreakdown;
 use crate::error::ArchError;
-use crate::mapping::ModelMapping;
-use crate::pipeline::{LayerPlacement, PeakPerformance, ScheduleSummary};
+use crate::pipeline::PeakPerformance;
 use crate::report::TimelyAccelerator;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use timely_analog::{Energy, Time};
-use timely_nn::workload::ModelWorkload;
 use timely_nn::{Model, NnError};
 
 /// Identity of a registered accelerator backend.
@@ -226,8 +224,9 @@ impl EnergyByCategory {
 
     /// Groups a TIMELY [`EnergyBreakdown`] into the paper's categories — the
     /// exact grouping [`Backend::evaluate`] reports for TIMELY, factored out
-    /// so the bounds fast path sums energies in the same order (bitwise
-    /// equality matters to the DSE's incremental-evaluation guarantee).
+    /// so the `timely-dse` evaluator sums energies in the same order (bitwise
+    /// equality matters to its screening and incremental-evaluation
+    /// guarantees).
     pub fn from_breakdown(report: &EnergyBreakdown) -> Self {
         Self {
             input_access: report.l1_input_reads + report.x_subbuf,
@@ -259,42 +258,6 @@ impl EnergyByCategory {
             self.compute / total,
             self.other / total,
         )
-    }
-}
-
-/// Admissible analytical lower bounds on the outcome of
-/// [`Backend::evaluate`], computable without building the full per-layer
-/// schedule or mapping.
-///
-/// The contract is *admissibility*: whenever `evaluate(model)` succeeds,
-/// every bound is `<=` the corresponding true value. A Pareto search can
-/// therefore discard any candidate whose bound vector is already dominated
-/// by a known point — the true outcome, being componentwise no better than
-/// the bounds, would be dominated too — without ever pruning a point that
-/// belongs on the frontier (the node-screening argument).
-///
-/// For TIMELY the bounds are *exact* (the analytical model is cheap enough
-/// to evaluate precisely once per-model analyses and placements are cached),
-/// which makes the screen maximally tight.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct EvalBounds {
-    /// Lower bound on the per-inference energy.
-    pub energy: Energy,
-    /// Lower bound on the end-to-end single-inference latency.
-    pub latency: Time,
-    /// Lower bound on the total silicon area (all chips), in mm².
-    pub area_mm2: f64,
-}
-
-impl EvalBounds {
-    /// The energy bound in millijoules (the DSE objective unit).
-    pub fn energy_millijoules(&self) -> f64 {
-        self.energy.as_millijoules()
-    }
-
-    /// The latency bound in milliseconds (the DSE objective unit).
-    pub fn latency_ms(&self) -> f64 {
-        self.latency.as_seconds() * 1e3
     }
 }
 
@@ -406,59 +369,6 @@ pub trait Backend {
     /// onto the backend (never panics for a too-large model), or propagates
     /// workload/architecture analysis errors.
     fn evaluate(&self, model: &Model) -> Result<EvalOutcome, EvalError>;
-
-    /// Cheap, admissible lower bounds on what [`Backend::evaluate`] would
-    /// return for `model`: whenever evaluation succeeds, `bounds(model)` is
-    /// componentwise `<=` the true outcome. `None` means the backend has no
-    /// bound machinery (the default) or cannot bound this model — callers
-    /// must then fall back to a full evaluation; it is *not* a statement
-    /// that evaluation would fail.
-    fn bounds(&self, model: &Model) -> Option<EvalBounds> {
-        let _ = model;
-        None
-    }
-}
-
-impl TimelyAccelerator {
-    /// TIMELY's precise bound core: exact {energy, latency, area} from an
-    /// already-analyzed workload, without materializing the per-layer
-    /// schedule or mapping. `None` when the configuration is invalid or the
-    /// model does not fit.
-    pub fn bounds_for_workload(&self, workload: &ModelWorkload) -> Option<EvalBounds> {
-        let config = self.config();
-        config.validate().ok()?;
-        let placement =
-            LayerPlacement::for_workload(workload, config.crossbar_size, config.cells_per_weight());
-        self.bounds_for_placement(workload, &placement)
-    }
-
-    /// Same as [`TimelyAccelerator::bounds_for_workload`], reusing a cached
-    /// placement (hill-climb neighbors sharing `(B, cells_per_weight)` share
-    /// placements).
-    pub fn bounds_for_placement(
-        &self,
-        workload: &ModelWorkload,
-        placement: &LayerPlacement,
-    ) -> Option<EvalBounds> {
-        let config = self.config();
-        config.validate().ok()?;
-        let summary = ScheduleSummary::for_placement(placement, config).ok()?;
-        let totals = ModelMapping::workload_totals(workload, config).ok()?;
-        let energy = EnergyByCategory::from_breakdown(&EnergyBreakdown::for_counts(
-            &totals,
-            workload.relu_elements,
-            workload.pool_outputs,
-            config,
-        ));
-        Some(EvalBounds {
-            energy: energy.total(),
-            latency: summary.single_inference_latency(config),
-            area_mm2: AreaBreakdown::for_chip(config)
-                .total()
-                .as_square_millimeters()
-                * config.chips as f64,
-        })
-    }
 }
 
 impl Backend for TimelyAccelerator {
@@ -512,18 +422,15 @@ impl Backend for TimelyAccelerator {
             peak: Backend::peak(self),
         })
     }
-
-    fn bounds(&self, model: &Model) -> Option<EvalBounds> {
-        let workload = ModelWorkload::try_analyze(model).ok()?;
-        self.bounds_for_workload(&workload)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::TimelyConfig;
-    use crate::pipeline::ThroughputReport;
+    use crate::mapping::ModelMapping;
+    use crate::pipeline::{LayerPlacement, ScheduleSummary, ThroughputReport};
+    use timely_nn::workload::ModelWorkload;
     use timely_nn::zoo;
 
     #[test]
@@ -644,69 +551,87 @@ mod tests {
         assert_eq!(via_arch, EvalError::Workload(NnError::EmptyModel));
     }
 
+    /// TIMELY's {energy, latency, area} composed from the analytical
+    /// primitives the DSE's screening bounds run (placement →
+    /// `ScheduleSummary` → `ModelMapping::workload_totals` →
+    /// `EnergyBreakdown::for_counts`), without the per-layer schedule or
+    /// mapping. `Err` when the configuration is invalid or the model does
+    /// not fit.
+    fn analytical_numbers(
+        config: &TimelyConfig,
+        model: &Model,
+    ) -> Result<(Energy, Time, f64), ArchError> {
+        config.validate()?;
+        let workload = ModelWorkload::try_analyze(model).expect("zoo model analyzes");
+        let placement = LayerPlacement::for_workload(
+            &workload,
+            config.crossbar_size,
+            config.cells_per_weight(),
+        );
+        let summary = ScheduleSummary::for_placement(&placement, config)?;
+        let totals = ModelMapping::workload_totals(&workload, config)?;
+        let energy = EnergyByCategory::from_breakdown(&EnergyBreakdown::for_counts(
+            &totals,
+            workload.relu_elements,
+            workload.pool_outputs,
+            config,
+        ));
+        let area_mm2 = AreaBreakdown::for_chip(config)
+            .total()
+            .as_square_millimeters()
+            * config.chips as f64;
+        Ok((
+            energy.total(),
+            summary.single_inference_latency(config),
+            area_mm2,
+        ))
+    }
+
     #[test]
     fn timely_bounds_are_exact_for_evaluable_models() {
-        // TIMELY's bounds share the evaluation arithmetic, so for any model
-        // that evaluates they are not just admissible but bitwise equal to
-        // the true outcome — the tightest possible screen.
+        // The screening bounds share the evaluation arithmetic, so for any
+        // model that evaluates they are not just admissible but bitwise
+        // equal to the `Backend::evaluate` outcome — the tightest screen.
         for cfg in [TimelyConfig::paper_default(), TimelyConfig::paper_16bit()] {
-            let accel = TimelyAccelerator::new(cfg);
+            let accel = TimelyAccelerator::new(cfg.clone());
             for model in [zoo::cnn_1(), zoo::vgg_d()] {
-                let bounds = Backend::bounds(&accel, &model).expect("bounds");
+                let (energy, latency, area_mm2) = analytical_numbers(&cfg, &model).expect("bounds");
                 let outcome = Backend::evaluate(&accel, &model).expect("evaluate");
                 assert_eq!(
-                    bounds.energy_millijoules().to_bits(),
+                    energy.as_millijoules().to_bits(),
                     outcome.energy_millijoules().to_bits()
                 );
                 assert_eq!(
-                    bounds.latency.as_seconds().to_bits(),
+                    latency.as_seconds().to_bits(),
                     outcome
                         .physics
                         .single_inference_latency
                         .as_seconds()
                         .to_bits()
                 );
-                assert_eq!(bounds.area_mm2.to_bits(), outcome.area_mm2.to_bits());
+                assert_eq!(area_mm2.to_bits(), outcome.area_mm2.to_bits());
             }
         }
     }
 
     #[test]
     fn timely_bounds_are_none_when_the_model_cannot_fit() {
-        let tiny = TimelyAccelerator::new(TimelyConfig {
+        let tiny = TimelyConfig {
             subchips_per_chip: 1,
             ..TimelyConfig::paper_default()
-        });
-        assert!(Backend::bounds(&tiny, &zoo::vgg_d()).is_none());
-        let invalid = TimelyAccelerator::new(TimelyConfig {
+        };
+        assert!(matches!(
+            analytical_numbers(&tiny, &zoo::vgg_d()),
+            Err(ArchError::ModelTooLarge { .. })
+        ));
+        let invalid = TimelyConfig {
             crossbar_size: 0,
             ..TimelyConfig::paper_default()
-        });
-        assert!(Backend::bounds(&invalid, &zoo::cnn_1()).is_none());
-    }
-
-    #[test]
-    fn bounds_default_to_none_for_backends_without_bound_machinery() {
-        struct Opaque;
-        impl Backend for Opaque {
-            fn id(&self) -> BackendId {
-                BackendId::Eyeriss
-            }
-            fn peak(&self) -> PeakSpec {
-                PeakSpec {
-                    tops_per_watt: 1.0,
-                    tops_per_mm2: 1.0,
-                    op_bits: 8,
-                }
-            }
-            fn evaluate(&self, _model: &Model) -> Result<EvalOutcome, EvalError> {
-                Err(EvalError::Unsupported {
-                    backend: BackendId::Eyeriss,
-                    reason: "stub".into(),
-                })
-            }
-        }
-        assert!(Opaque.bounds(&zoo::cnn_1()).is_none());
+        };
+        assert!(matches!(
+            analytical_numbers(&invalid, &zoo::cnn_1()),
+            Err(ArchError::InvalidConfig { .. })
+        ));
     }
 
     #[test]

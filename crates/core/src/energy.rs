@@ -85,8 +85,8 @@ impl EnergyBreakdown {
 
     /// Computes the breakdown from aggregate event counts plus the digital
     /// post-processing op counts, without requiring a full [`ModelMapping`]
-    /// — the energy core behind [`Backend::bounds`](crate::Backend::bounds)
-    /// and the `timely-dse` hot path. Pairs with
+    /// — the energy core behind the `timely-dse` evaluator's bound screening
+    /// and evaluation hot path. Pairs with
     /// [`ModelMapping::workload_totals`].
     pub fn for_counts(
         totals: &crate::mapping::LayerCounts,

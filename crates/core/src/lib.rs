@@ -35,8 +35,7 @@ pub mod subchip;
 
 pub use area::AreaBreakdown;
 pub use backend::{
-    Backend, BackendId, EnergyByCategory, EvalBounds, EvalError, EvalOutcome, PeakSpec,
-    ServicePhysics,
+    Backend, BackendId, EnergyByCategory, EvalError, EvalOutcome, PeakSpec, ServicePhysics,
 };
 pub use config::{Features, MappingStrategy, TimelyConfig, TimelyConfigBuilder};
 pub use energy::{DataType, EnergyBreakdown, MemoryLevel};

@@ -171,9 +171,9 @@ impl ModelMapping {
     }
 
     /// Aggregate event counts of a workload without materializing per-layer
-    /// records or their name strings — the counting core behind
-    /// [`Backend::bounds`](crate::Backend::bounds) and the `timely-dse` hot
-    /// path. Field-for-field equal to the `totals` of
+    /// records or their name strings — the counting core behind the
+    /// `timely-dse` evaluator's bound screening and evaluation hot path.
+    /// Field-for-field equal to the `totals` of
     /// [`ModelMapping::from_workload`] (same accumulation order).
     ///
     /// # Errors

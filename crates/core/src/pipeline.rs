@@ -172,9 +172,9 @@ fn duplication_scale(available: u64, weighted: f64) -> f64 {
 
 /// An allocation-free aggregate of the layer-pipeline schedule: everything
 /// the latency/throughput formulas need, without materializing per-layer
-/// [`LayerSchedule`] records. This is the schedule core behind
-/// [`Backend::bounds`](crate::Backend::bounds) and the `timely-dse` hot
-/// path; its arithmetic is bit-identical to [`ThroughputReport`] (the shared
+/// [`LayerSchedule`] records. This is the schedule core behind the
+/// `timely-dse` evaluator's bound screening and evaluation hot path; its
+/// arithmetic is bit-identical to [`ThroughputReport`] (the shared
 /// helpers above), which a property test pins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ScheduleSummary {

@@ -30,20 +30,22 @@ fn study_constraints(max_latency_ms: Option<f64>) -> Constraints {
     }
 }
 
-/// The average {energy mJ, latency ms} of `config` over `models` computed
-/// through the public `Backend::evaluate` trait path — the pre-screening
-/// reference implementation the fast path must match bitwise.
-fn trait_path_objectives(config: &TimelyConfig, models: &[Model]) -> Option<(f64, f64)> {
+/// The average {energy mJ, latency ms} and the area (mm²) of `config` over
+/// `models` computed through the public `Backend::evaluate` trait path — the
+/// pre-screening reference implementation the fast path must match bitwise.
+fn trait_path_objectives(config: &TimelyConfig, models: &[Model]) -> Option<(f64, f64, f64)> {
     let accelerator = TimelyAccelerator::new(config.clone());
     let mut energy_mj = 0.0;
     let mut latency_ms = 0.0;
+    let mut area_mm2 = 0.0;
     for model in models {
         let outcome = Backend::evaluate(&accelerator, model).ok()?;
         energy_mj += outcome.energy_millijoules();
         latency_ms += outcome.physics.single_inference_latency.as_seconds() * 1e3;
+        area_mm2 = outcome.area_mm2;
     }
     let count = models.len() as f64;
-    Some((energy_mj / count, latency_ms / count))
+    Some((energy_mj / count, latency_ms / count, area_mm2))
 }
 
 proptest! {
@@ -130,15 +132,54 @@ proptest! {
             serde::json::to_string(&scratch.report())
         );
         if let Some(report) = incremental.report() {
-            let (energy_mj, latency_ms) = trait_path_objectives(&config, &models)
+            let (energy_mj, latency_ms, area_mm2) = trait_path_objectives(&config, &models)
                 .expect("feasible point evaluates through the trait path");
             prop_assert_eq!(
                 report.objectives.energy_mj_per_inference.to_bits(),
                 energy_mj.to_bits()
             );
             prop_assert_eq!(report.objectives.latency_ms.to_bits(), latency_ms.to_bits());
+            prop_assert_eq!(report.objectives.area_mm2.to_bits(), area_mm2.to_bits());
         }
     }
+}
+
+/// The screening bounds are TIMELY's own numbers: for models that evaluate,
+/// `screen_bounds` answers `Bounds` whose energy, latency and area equal the
+/// `Backend::evaluate` trait path bitwise. A model too large for the chip is
+/// `NeverFeasible`, and an invalid configuration is left to the evaluator
+/// (`Unknown`).
+#[test]
+fn screen_bounds_are_the_trait_path_numbers() {
+    for config in [TimelyConfig::paper_default(), TimelyConfig::paper_16bit()] {
+        for model in [zoo::cnn_1(), zoo::vgg_d()] {
+            let mut bounds = Vec::new();
+            let check = Evaluator::new(vec![model.clone()]).screen_bounds(&config, &mut bounds);
+            assert_eq!(check, BoundCheck::Bounds, "{}", model.name());
+            let (energy_mj, latency_ms, area_mm2) =
+                trait_path_objectives(&config, &[model]).expect("model evaluates");
+            assert_eq!(bounds[0].to_bits(), energy_mj.to_bits());
+            assert_eq!(bounds[1].to_bits(), latency_ms.to_bits());
+            assert_eq!(bounds[2].to_bits(), area_mm2.to_bits());
+        }
+    }
+    let mut bounds = Vec::new();
+    let tiny = TimelyConfig {
+        subchips_per_chip: 1,
+        ..TimelyConfig::paper_default()
+    };
+    assert_eq!(
+        Evaluator::new(vec![zoo::vgg_d()]).screen_bounds(&tiny, &mut bounds),
+        BoundCheck::NeverFeasible
+    );
+    let invalid = TimelyConfig {
+        crossbar_size: 0,
+        ..TimelyConfig::paper_default()
+    };
+    assert_eq!(
+        Evaluator::new(vec![zoo::cnn_1()]).screen_bounds(&invalid, &mut bounds),
+        BoundCheck::Unknown
+    );
 }
 
 /// With the serving axis enabled, the p99 bound (the smallest single-model

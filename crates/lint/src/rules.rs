@@ -34,7 +34,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "wall-clock",
-        "no Instant::now/SystemTime outside the obs profiler module (golden outputs must not depend on time)",
+        "no Instant::now/SystemTime in the scanned workspace (golden outputs must not depend on time; timing belongs in perfbench)",
     ),
     (
         "process-hash",
@@ -200,7 +200,7 @@ pub fn check_file(path: &str, file: &LexedFile, config: &LintConfig) -> Vec<Find
                         "`{}` in non-test code (outputs must not depend on wall-clock time)",
                         if instant_now { "Instant::now" } else { "SystemTime" }
                     ),
-                    hint: "route timing through timely_obs::Profiler (the one allowlisted wall-clock module); end-to-end timing belongs in the perfbench workspace, outside the scan roots".to_string(),
+                    hint: "wall-clock timing belongs in the perfbench workspace, outside the scan roots; deterministic telemetry goes through timely_obs::Recorder".to_string(),
                 });
             }
         }

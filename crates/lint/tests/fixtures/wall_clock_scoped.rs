@@ -1,8 +1,8 @@
 //! Seeded wall-clock fixture: exactly one `Instant::now` read and nothing
-//! else. The committed workspace `lint.toml` allows the wall-clock rule only
-//! at `crates/obs/src/profiler.rs`; the scoping test lints this source there
-//! (clean, suppressed via the allowlist) and at a sibling obs path (one
-//! violation), proving the exception does not leak past the profiler module.
+//! else. The committed workspace `lint.toml` has no wall-clock exception;
+//! the policy test lints this source at two observability-crate paths and
+//! expects one violation at each. Wall-clock timing belongs in the
+//! `perfbench` workspace, outside the scan roots.
 
 use std::time::Instant;
 

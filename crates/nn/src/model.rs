@@ -167,7 +167,7 @@ impl fmt::Display for Model {
 ///
 /// The builder records layers in order and tracks the running feature-map
 /// shape so convenience methods like [`ModelBuilder::conv_relu`] and
-/// [`ModelBuilder::flatten_fc`] can be expressed tersely in the model zoo.
+/// [`ModelBuilder::fc_relu`] can be expressed tersely in the model zoo.
 #[derive(Debug, Clone)]
 pub struct ModelBuilder {
     name: String,

@@ -19,7 +19,7 @@ use crate::trace::SpanRecord;
 /// All timestamps (`start_ts`/`end_ts`) live on the *run's* deterministic
 /// axis: simulated seconds in the serving simulator, logical candidate
 /// counts in the DSE. Implementations must never read the wall clock —
-/// wall-clock profiling is [`crate::profiler::Profiler`]'s separate domain.
+/// wall-clock timing belongs to the `perfbench` workspace.
 pub trait Recorder {
     /// Whether this recorder keeps what it is given. Call sites may use
     /// this to skip *preparing* expensive inputs (e.g. composing keys); the

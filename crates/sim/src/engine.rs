@@ -2,10 +2,10 @@
 //! traffic.
 //!
 //! Each simulated chip serves inference requests through its backend's
-//! pipeline, abstracted by the [`ServicePhysics`] every
-//! [`Backend`](timely_core::Backend) reports: the *initiation interval* (how
-//! often the pipeline accepts a new inference) and the *single-inference
-//! latency* (the time one request spends flowing through all stages). A
+//! pipeline, abstracted by the [`ServicePhysics`] every [`Backend`] reports:
+//! the *initiation interval* (how often the pipeline accepts a new
+//! inference) and the *single-inference latency* (the time one request
+//! spends flowing through all stages). A
 //! request issued at `t` therefore completes at `t + latency`, and the next
 //! request can issue no earlier than `t + II`. Energy per request comes from
 //! the backend's per-inference [`EnergyByCategory`] total.

@@ -13,6 +13,9 @@ cd "$(dirname "$0")/.."
 cargo fmt --check
 # Compiler warnings are gate failures: the workspace must build warning-free.
 RUSTFLAGS="-D warnings" cargo build --release --workspace --all-targets
+# Rustdoc warnings (broken intra-doc links, redundant link targets) are gate
+# failures too: a deleted or renamed item must not leave a dangling link.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 cargo test -q
 cargo test -q -p timely-sim
 cargo test -q -p timely-dse
